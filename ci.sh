@@ -142,6 +142,13 @@ echo "serve smoke: set/sweep/error/shutdown all answered"
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
+echo "== perfbench build + self-test =="
+# The repo benchmark (perfbench/, its own cargo workspace) builds against
+# the workspace crates by path. Building and testing it here makes a
+# public-API change in pnoc-noc/pnoc-fleet/... that breaks the benchmark
+# fail CI instead of the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (pnoc-noc with verify-invariants auditor) =="
 # Re-run the simulator core's suite with the per-cycle InvariantAuditor
 # compiled into Network::step.

@@ -8,11 +8,13 @@
 //! machines) in [`crate::schemes::arbiter`], flow control (credit ledgers,
 //! the ACK/NACK handshake, retransmit timers) in [`crate::schemes::flow`].
 //! The channel is generic over that pairing — `Channel<A: Arbiter, F:
-//! Flow>` — so [`crate::network::Network`] compiles one fully inlined step
-//! loop per scheme family, while the type defaults (`ArbiterKind`,
-//! `FlowKind`) keep a runtime-dispatched `Channel` available for the model
-//! checker and unit rigs. The [`crate::network::Network`] orchestrator
-//! calls the `phase_*` methods in a fixed order each cycle:
+//! Flow>` — and is only ever built over the concrete pair
+//! [`crate::with_scheme!`] binds for the configuration's scheme, so
+//! [`crate::network::Network`] compiles one fully inlined step loop per
+//! scheme family, and the bounded model checker
+//! ([`crate::fsm::ChannelModel`]) and the tests run those same types. The
+//! [`crate::network::Network`] orchestrator calls the `phase_*` methods in a
+//! fixed order each cycle:
 //!
 //! 1. `phase_advance`  — light moves one segment,
 //! 2. `phase_arrival`  — the home inspects the slot at its segment
@@ -36,9 +38,7 @@ use crate::config::{FairnessPolicy, NetworkConfig, Scheme};
 use crate::metrics::NetworkMetrics;
 use crate::outqueue::{OutQueue, SendMode};
 use crate::packet::{FlitRef, Packet, PacketArena, PacketRef};
-use crate::schemes::{
-    AdmissionCtl, Arbiter, ArbiterKind, ArrivalCx, Flow, FlowKind, Planes, TokenCx,
-};
+use crate::schemes::{AdmissionCtl, Arbiter, ArrivalCx, Flow, Planes, TokenCx};
 use crate::slots::SlotRing;
 use crate::topology::Topology;
 use pnoc_faults::{ChannelInjector, DataFate, FaultEngine, RecoveryConfig};
@@ -59,15 +59,14 @@ pub struct Delivery {
 
 /// One MWSR channel (see module docs).
 ///
-/// The type parameters select the scheme pairing at compile time; the
-/// defaults are the runtime-dispatched wrappers so `Channel` written plain
-/// (the model checker, unit rigs) behaves exactly as before.
+/// The type parameters are the scheme's (arbiter, flow) pairing, chosen at
+/// compile time by [`crate::with_scheme!`].
 ///
 /// `Clone` so the bounded model checker ([`crate::fsm`]) can branch a
 /// channel's state when exploring nondeterministic injection choices.
 #[derive(Debug, Clone)]
 #[allow(clippy::struct_excessive_bools)] // construction-time scheme predicates, not a state machine
-pub struct Channel<A = ArbiterKind, F = FlowKind> {
+pub struct Channel<A, F> {
     home: usize,
     topo: Topology,
     scheme: Scheme,
@@ -142,21 +141,11 @@ pub struct Channel<A = ArbiterKind, F = FlowKind> {
     recovery: RecoveryConfig,
 }
 
-impl Channel {
-    /// Build the channel homed at `home` with the scheme pairing resolved
-    /// at runtime ([`ArbiterKind`]/[`FlowKind`] dispatch). The network's
-    /// hot path uses [`Channel::with_pipeline`] with concrete types.
-    pub fn new(home: usize, cfg: &NetworkConfig) -> Self {
-        let (arbiter, flow) = crate::schemes::build(cfg);
-        Channel::with_pipeline(home, cfg, arbiter, flow)
-    }
-}
-
 impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// Build the channel homed at `home` over a concrete (arbiter, flow)
-    /// pairing. The pairing must match `cfg.scheme` — [`crate::schemes::build`]
-    /// is the canonical constructor of matched pairs.
-    pub fn with_pipeline(home: usize, cfg: &NetworkConfig, arbiter: A, flow: F) -> Self {
+    /// pairing. Crate-private: callers pass the pair [`crate::with_scheme!`]
+    /// binds for `cfg`, so the pairing always matches `cfg.scheme`.
+    pub(crate) fn with_pipeline(home: usize, cfg: &NetworkConfig, arbiter: A, flow: F) -> Self {
         let topo = Topology::new(cfg.nodes, cfg.ring_segments);
         let mode = match cfg.scheme {
             Scheme::TokenChannel | Scheme::TokenSlot | Scheme::DhsCirculation => SendMode::Forget,
@@ -948,6 +937,19 @@ mod tests {
     use super::*;
     use crate::packet::PacketKind;
 
+    /// Build the channel homed at `home` over the pairing `cfg`'s scheme
+    /// selects and run `body` with it bound to `ch` — compiled once per
+    /// pairing, through [`crate::with_scheme!`].
+    macro_rules! with_channel {
+        ($home:expr, $cfg:expr, |$ch:ident| $body:expr) => {{
+            let cfg: &NetworkConfig = $cfg;
+            crate::with_scheme!(cfg, |arbiter, flow| {
+                let mut $ch = Channel::with_pipeline($home, cfg, arbiter, flow);
+                $body
+            })
+        }};
+    }
+
     fn cfg(scheme: Scheme) -> NetworkConfig {
         NetworkConfig::small(scheme) // 16 nodes, 4 segments, buffer 4
     }
@@ -970,8 +972,8 @@ mod tests {
     }
 
     /// Run `cycles` cycles of a single channel in isolation.
-    fn run(
-        ch: &mut Channel,
+    fn run<A: Arbiter, F: Flow>(
+        ch: &mut Channel<A, F>,
         m: &mut NetworkMetrics,
         deliveries: &mut Vec<Delivery>,
         from: Cycle,
@@ -989,12 +991,13 @@ mod tests {
     }
 
     fn deliver_one(scheme: Scheme, src: usize) -> (Vec<Delivery>, NetworkMetrics) {
-        let mut ch = Channel::new(0, &cfg(scheme));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        ch.enqueue(pkt(1, src, 0, 0));
-        run(&mut ch, &mut m, &mut d, 0, 64);
-        (d, m)
+        with_channel!(0, &cfg(scheme), |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            ch.enqueue(pkt(1, src, 0, 0));
+            run(&mut ch, &mut m, &mut d, 0, 64);
+            (d, m)
+        })
     }
 
     #[test]
@@ -1030,32 +1033,35 @@ mod tests {
     #[test]
     fn channel_drains_after_burst() {
         for scheme in Scheme::paper_set(2) {
-            let mut ch = Channel::new(3, &cfg(scheme));
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            let mut id = 0;
-            for src in [0usize, 5, 9, 12] {
-                for _ in 0..5 {
-                    id += 1;
-                    ch.enqueue(pkt(id, src, 3, 0));
+            with_channel!(3, &cfg(scheme), |ch| {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                let mut id = 0;
+                for src in [0usize, 5, 9, 12] {
+                    for _ in 0..5 {
+                        id += 1;
+                        ch.enqueue(pkt(id, src, 3, 0));
+                    }
                 }
-            }
-            run(&mut ch, &mut m, &mut d, 0, 600);
-            assert_eq!(d.len(), 20, "{scheme:?} lost packets: {}", d.len());
-            assert!(ch.is_drained(), "{scheme:?} did not drain");
+                run(&mut ch, &mut m, &mut d, 0, 600);
+                assert_eq!(d.len(), 20, "{scheme:?} lost packets: {}", d.len());
+                assert!(ch.is_drained(), "{scheme:?} did not drain");
+            });
         }
     }
 
     #[test]
     fn deliveries_preserve_per_sender_order() {
         for scheme in Scheme::paper_set(2) {
-            let mut ch = Channel::new(0, &cfg(scheme));
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            for i in 0..8 {
-                ch.enqueue(pkt(i, 5, 0, 0));
-            }
-            run(&mut ch, &mut m, &mut d, 0, 400);
+            let d = with_channel!(0, &cfg(scheme), |ch| {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                for i in 0..8 {
+                    ch.enqueue(pkt(i, 5, 0, 0));
+                }
+                run(&mut ch, &mut m, &mut d, 0, 400);
+                d
+            });
             let ids: Vec<u64> = d.iter().map(|x| x.pkt.id).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
@@ -1065,8 +1071,8 @@ mod tests {
 
     /// Run with the home's ejection stalled except every `period`-th cycle,
     /// which builds real buffer pressure (drops / circulation).
-    fn run_with_slow_ejection(
-        ch: &mut Channel,
+    fn run_with_slow_ejection<A: Arbiter, F: Flow>(
+        ch: &mut Channel<A, F>,
         m: &mut NetworkMetrics,
         d: &mut Vec<Delivery>,
         cycles: u64,
@@ -1089,70 +1095,74 @@ mod tests {
         // A small buffer plus a slow home port forces drops.
         let mut config = cfg(Scheme::Dhs { setaside: 2 });
         config.input_buffer = 2;
-        let mut ch = Channel::new(0, &config);
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..12 {
-            ch.enqueue(pkt(i, 4, 0, 0));
-            ch.enqueue(pkt(100 + i, 9, 0, 0));
-        }
-        run_with_slow_ejection(&mut ch, &mut m, &mut d, 2000, 4);
-        assert_eq!(d.len(), 24, "all packets eventually delivered");
-        assert!(ch.is_drained());
-        assert!(m.drops > 0, "slow ejection must force drops");
-        assert_eq!(m.drops, m.retransmissions, "every drop is retransmitted");
+        with_channel!(0, &config, |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..12 {
+                ch.enqueue(pkt(i, 4, 0, 0));
+                ch.enqueue(pkt(100 + i, 9, 0, 0));
+            }
+            run_with_slow_ejection(&mut ch, &mut m, &mut d, 2000, 4);
+            assert_eq!(d.len(), 24, "all packets eventually delivered");
+            assert!(ch.is_drained());
+            assert!(m.drops > 0, "slow ejection must force drops");
+            assert_eq!(m.drops, m.retransmissions, "every drop is retransmitted");
+        });
     }
 
     #[test]
     fn circulation_never_drops_and_counts_loops() {
         let mut config = cfg(Scheme::DhsCirculation);
         config.input_buffer = 2;
-        let mut ch = Channel::new(0, &config);
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..12 {
-            ch.enqueue(pkt(i, 4, 0, 0));
-            ch.enqueue(pkt(100 + i, 9, 0, 0));
-        }
-        run_with_slow_ejection(&mut ch, &mut m, &mut d, 2000, 4);
-        assert_eq!(d.len(), 24);
-        assert_eq!(m.drops, 0, "circulation never drops");
-        assert!(m.circulations > 0, "buffer pressure must force circulation");
-        assert!(ch.is_drained());
+        with_channel!(0, &config, |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..12 {
+                ch.enqueue(pkt(i, 4, 0, 0));
+                ch.enqueue(pkt(100 + i, 9, 0, 0));
+            }
+            run_with_slow_ejection(&mut ch, &mut m, &mut d, 2000, 4);
+            assert_eq!(d.len(), 24);
+            assert_eq!(m.drops, 0, "circulation never drops");
+            assert!(m.circulations > 0, "buffer pressure must force circulation");
+            assert!(ch.is_drained());
+        });
     }
 
     #[test]
     fn token_slot_respects_credit_limit() {
         // With buffer 4 and ejection stalled... ejection always runs; instead
         // check the reservation invariant holds while many senders compete.
-        let mut ch = Channel::new(0, &cfg(Scheme::TokenSlot));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        let mut id = 0;
-        for src in 1..16 {
-            for _ in 0..4 {
-                id += 1;
-                ch.enqueue(pkt(id, src, 0, 0));
+        with_channel!(0, &cfg(Scheme::TokenSlot), |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            let mut id = 0;
+            for src in 1..16 {
+                for _ in 0..4 {
+                    id += 1;
+                    ch.enqueue(pkt(id, src, 0, 0));
+                }
             }
-        }
-        run(&mut ch, &mut m, &mut d, 0, 3000);
-        assert_eq!(d.len(), 60);
-        assert!(ch.is_drained());
-        assert_eq!(m.drops, 0, "credit reservation prevents drops");
+            run(&mut ch, &mut m, &mut d, 0, 3000);
+            assert_eq!(d.len(), 60);
+            assert!(ch.is_drained());
+            assert_eq!(m.drops, 0, "credit reservation prevents drops");
+        });
     }
 
     #[test]
     fn token_channel_reimburses_credits() {
-        let mut ch = Channel::new(0, &cfg(Scheme::TokenChannel));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        // More packets than the 4 credits the token starts with.
-        for i in 0..20 {
-            ch.enqueue(pkt(i, 8, 0, 0));
-        }
-        run(&mut ch, &mut m, &mut d, 0, 3000);
-        assert_eq!(d.len(), 20, "credits must be reimbursed to finish");
-        assert!(ch.is_drained());
+        with_channel!(0, &cfg(Scheme::TokenChannel), |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            // More packets than the 4 credits the token starts with.
+            for i in 0..20 {
+                ch.enqueue(pkt(i, 8, 0, 0));
+            }
+            run(&mut ch, &mut m, &mut d, 0, 3000);
+            assert_eq!(d.len(), 20, "credits must be reimbursed to finish");
+            assert!(ch.is_drained());
+        });
     }
 
     #[test]
@@ -1160,25 +1170,27 @@ mod tests {
         // One sender, many packets: basic DHS sends 1 per handshake round
         // trip; setaside pipelines them.
         let run_scheme = |scheme| {
-            let mut ch = Channel::new(0, &cfg(scheme));
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            for i in 0..30 {
-                ch.enqueue(pkt(i, 8, 0, 0));
-            }
-            let mut cycles = 0;
-            for now in 0..5000u64 {
-                ch.phase_advance();
-                ch.phase_arrival(now, &mut m);
-                ch.phase_acks(now, &mut m);
-                ch.phase_transmit(now, &mut m);
-                ch.phase_tokens(now, &mut m);
-                ch.phase_eject(now, &mut m, &mut d);
-                if d.len() == 30 {
-                    cycles = now;
-                    break;
+            let cycles = with_channel!(0, &cfg(scheme), |ch| {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                for i in 0..30 {
+                    ch.enqueue(pkt(i, 8, 0, 0));
                 }
-            }
+                let mut cycles = 0;
+                for now in 0..5000u64 {
+                    ch.phase_advance();
+                    ch.phase_arrival(now, &mut m);
+                    ch.phase_acks(now, &mut m);
+                    ch.phase_transmit(now, &mut m);
+                    ch.phase_tokens(now, &mut m);
+                    ch.phase_eject(now, &mut m, &mut d);
+                    if d.len() == 30 {
+                        cycles = now;
+                        break;
+                    }
+                }
+                cycles
+            });
             assert!(cycles > 0, "{scheme:?} never finished");
             cycles
         };
@@ -1194,13 +1206,15 @@ mod tests {
     fn ghs_holder_sends_back_to_back() {
         // A single GHS sender with setaside should stream packets once it
         // holds the token (1/cycle), unlike basic GHS.
-        let mut ch = Channel::new(0, &cfg(Scheme::Ghs { setaside: 4 }));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..4 {
-            ch.enqueue(pkt(i, 8, 0, 0));
-        }
-        run(&mut ch, &mut m, &mut d, 0, 40);
+        let d = with_channel!(0, &cfg(Scheme::Ghs { setaside: 4 }), |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..4 {
+                ch.enqueue(pkt(i, 8, 0, 0));
+            }
+            run(&mut ch, &mut m, &mut d, 0, 40);
+            d
+        });
         assert_eq!(d.len(), 4);
         // Sends should be on consecutive cycles: check sent_at spacing.
         let mut sent: Vec<Cycle> = d.iter().map(|x| x.pkt.sent_at).collect();
@@ -1216,17 +1230,18 @@ mod tests {
         let run_with = |fairness| {
             let mut config = cfg(Scheme::Dhs { setaside: 4 });
             config.fairness = fairness;
-            let mut ch = Channel::new(0, &config);
-            let mut m = NetworkMetrics::new();
-            let mut d = Vec::new();
-            // Both senders keep a deep backlog for the whole horizon; the
-            // near node (distance 0) sees every token first.
-            for i in 0..300 {
-                ch.enqueue(pkt(i, 1, 0, 0)); // near (distance 0)
-                ch.enqueue(pkt(1000 + i, 15, 0, 0)); // far (distance 14)
-            }
-            run(&mut ch, &mut m, &mut d, 0, 150);
-            d.iter().filter(|x| x.pkt.src_node == 15).count()
+            with_channel!(0, &config, |ch| {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                // Both senders keep a deep backlog for the whole horizon; the
+                // near node (distance 0) sees every token first.
+                for i in 0..300 {
+                    ch.enqueue(pkt(i, 1, 0, 0)); // near (distance 0)
+                    ch.enqueue(pkt(1000 + i, 15, 0, 0)); // far (distance 14)
+                }
+                run(&mut ch, &mut m, &mut d, 0, 150);
+                d.iter().filter(|x| x.pkt.src_node == 15).count()
+            })
         };
         let without = run_with(FairnessPolicy::None);
         let with = run_with(FairnessPolicy::SitOut {
@@ -1241,24 +1256,25 @@ mod tests {
 
     #[test]
     fn audit_view_into_reuses_buffers() {
-        let mut ch = Channel::new(0, &cfg(Scheme::Dhs { setaside: 2 }));
-        let mut m = NetworkMetrics::new();
-        let mut d = Vec::new();
-        for i in 0..6 {
-            ch.enqueue(pkt(i, 4, 0, 0));
-        }
-        run(&mut ch, &mut m, &mut d, 0, 5);
-        let mut view = crate::audit::ChannelAuditView::default();
-        ch.audit_view_into(&mut view);
-        let fresh = ch.audit_view();
-        assert_eq!(view.queue_ids, fresh.queue_ids);
-        assert_eq!(view.unresolved_ids, fresh.unresolved_ids);
-        // Refill after more cycles: stale content must be fully replaced.
-        run(&mut ch, &mut m, &mut d, 5, 20);
-        ch.audit_view_into(&mut view);
-        let fresh = ch.audit_view();
-        assert_eq!(view.queue_ids, fresh.queue_ids);
-        assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
-        assert_eq!(view.pending_acks, fresh.pending_acks);
+        with_channel!(0, &cfg(Scheme::Dhs { setaside: 2 }), |ch| {
+            let mut m = NetworkMetrics::new();
+            let mut d = Vec::new();
+            for i in 0..6 {
+                ch.enqueue(pkt(i, 4, 0, 0));
+            }
+            run(&mut ch, &mut m, &mut d, 0, 5);
+            let mut view = crate::audit::ChannelAuditView::default();
+            ch.audit_view_into(&mut view);
+            let fresh = ch.audit_view();
+            assert_eq!(view.queue_ids, fresh.queue_ids);
+            assert_eq!(view.unresolved_ids, fresh.unresolved_ids);
+            // Refill after more cycles: stale content must be fully replaced.
+            run(&mut ch, &mut m, &mut d, 5, 20);
+            ch.audit_view_into(&mut view);
+            let fresh = ch.audit_view();
+            assert_eq!(view.queue_ids, fresh.queue_ids);
+            assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
+            assert_eq!(view.pending_acks, fresh.pending_acks);
+        });
     }
 }

@@ -2,9 +2,10 @@
 //! bounded model checking.
 //!
 //! The checker (crate `pnoc-verify`) explores the *real* implementation —
-//! [`crate::channel::Channel`], not a re-modelled abstraction — so a proof
-//! over the model is a proof over the simulator. Two things make that
-//! tractable:
+//! the same monomorphized [`crate::channel::Channel`] `<A, F>` the network
+//! runs, built over the pairing [`crate::with_scheme!`] binds, not a
+//! re-modelled abstraction — so a proof over the model is a proof over the
+//! simulator. Two things make that tractable:
 //!
 //! * [`CycleFsm::state_key`] produces a canonical, time-normalized encoding
 //!   of the complete dynamic state (every absolute cycle re-based against
@@ -26,6 +27,7 @@ use crate::channel::{Channel, Delivery};
 use crate::config::{NetworkConfig, Scheme};
 use crate::metrics::NetworkMetrics;
 use crate::packet::{Packet, PacketKind};
+use crate::schemes::{Arbiter, Flow};
 use pnoc_sim::Cycle;
 use std::collections::BTreeSet;
 
@@ -76,9 +78,12 @@ pub trait CycleFsm: Clone {
 /// network-level behavior is a product of independent channels, so
 /// per-channel deadlock-freedom and exactly-once delivery lift to the
 /// network.
+///
+/// Generic over the scheme pairing like [`Channel`] itself: instantiate it
+/// inside [`crate::with_scheme!`], which binds the concrete pair.
 #[derive(Debug, Clone)]
-pub struct ChannelModel {
-    ch: Channel,
+pub struct ChannelModel<A, F> {
+    ch: Channel<A, F>,
     now: Cycle,
     metrics: NetworkMetrics,
     /// Sender node ids that participate (everyone but the home).
@@ -100,21 +105,38 @@ pub struct ChannelModel {
     sabotage_forget_accepted: bool,
 }
 
-impl ChannelModel {
-    /// A model of the channel homed at node 0 of `cfg`, in which each of
-    /// `active_senders` will inject `packets_each` packets.
+impl<A: Arbiter, F: Flow> ChannelModel<A, F> {
+    /// A model of the channel homed at node 0 of `cfg`, over the
+    /// `(arbiter, flow)` pair [`crate::with_scheme!`] bound for `cfg`, in
+    /// which each of `active_senders` will inject `packets_each` packets.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration or an out-of-range sender.
-    pub fn new(cfg: &NetworkConfig, active_senders: &[usize], packets_each: u32) -> Self {
+    /// Panics on an invalid configuration, a pairing that is not the one
+    /// `cfg.scheme` selects, or an out-of-range or repeated sender.
+    pub fn new(
+        cfg: &NetworkConfig,
+        arbiter: A,
+        flow: F,
+        active_senders: &[usize],
+        packets_each: u32,
+    ) -> Self {
         cfg.validate().expect("invalid model config");
+        assert_eq!(
+            (std::any::type_name::<A>(), std::any::type_name::<F>()),
+            crate::schemes::pairing_names(cfg),
+            "pairing disagrees with {:?}",
+            cfg.scheme
+        );
         let home = 0usize;
-        for &s in active_senders {
+        for (i, &s) in active_senders.iter().enumerate() {
             assert!(s < cfg.nodes && s != home, "bad sender {s}");
+            // Packet ids are keyed by sender node: a repeated sender would
+            // give two packets the same id.
+            assert!(!active_senders[..i].contains(&s), "duplicate sender {s}");
         }
         Self {
-            ch: Channel::new(home, cfg),
+            ch: Channel::with_pipeline(home, cfg, arbiter, flow),
             now: 0,
             metrics: NetworkMetrics::new(),
             senders: active_senders.to_vec(),
@@ -146,6 +168,12 @@ impl ChannelModel {
         self.delivered.len() as u64
     }
 
+    /// The channel under the model, for tests that drive its phases
+    /// directly instead of through [`CycleFsm::step`].
+    pub fn channel_mut(&mut self) -> &mut Channel<A, F> {
+        &mut self.ch
+    }
+
     /// Deterministic id for sender index `idx`'s `seq`-th packet: stable
     /// across injection orders, so interleavings that end in the same
     /// configuration produce identical state keys.
@@ -165,7 +193,7 @@ impl ChannelModel {
     }
 }
 
-impl CycleFsm for ChannelModel {
+impl<A: Arbiter + Clone, F: Flow + Clone> CycleFsm for ChannelModel<A, F> {
     fn state_key(&self) -> Vec<u64> {
         let mut key = Vec::with_capacity(96);
         key.extend(self.remaining.iter().map(|&r| u64::from(r)));
@@ -288,25 +316,35 @@ mod tests {
         cfg
     }
 
+    /// Inject as fast as allowed, then run to drain; returns
+    /// `(drained, unaccounted, delivered)`.
+    fn eager_run<A: Arbiter + Clone, F: Flow + Clone>(
+        mut m: ChannelModel<A, F>,
+    ) -> (bool, u64, u64) {
+        for _ in 0..200 {
+            let inject: Vec<usize> = if m.pending_injections() {
+                vec![0]
+            } else {
+                vec![]
+            };
+            m.step(&inject).expect("step must not violate invariants");
+            if m.drained() && !m.pending_injections() {
+                break;
+            }
+        }
+        (m.drained(), m.unaccounted_packets(), m.delivered_count())
+    }
+
     #[test]
     fn model_reaches_drain_under_eager_injection() {
         for scheme in Scheme::paper_set(1) {
-            let mut m = ChannelModel::new(&tiny(scheme), &[1], 2);
-            // Inject as fast as allowed, then run to drain.
-            for _ in 0..200 {
-                let inject: Vec<usize> = if m.pending_injections() {
-                    vec![0]
-                } else {
-                    vec![]
-                };
-                m.step(&inject).expect("step must not violate invariants");
-                if m.drained() && !m.pending_injections() {
-                    break;
-                }
-            }
-            assert!(m.drained(), "{scheme:?} did not drain");
-            assert_eq!(m.unaccounted_packets(), 0, "{scheme:?} lost packets");
-            assert_eq!(m.delivered_count(), 2, "{scheme:?}");
+            let cfg = tiny(scheme);
+            let (drained, unaccounted, delivered) = crate::with_scheme!(&cfg, |arbiter, flow| {
+                eager_run(ChannelModel::new(&cfg, arbiter, flow, &[1], 2))
+            });
+            assert!(drained, "{scheme:?} did not drain");
+            assert_eq!(unaccounted, 0, "{scheme:?} lost packets");
+            assert_eq!(delivered, 2, "{scheme:?}");
         }
     }
 
@@ -317,30 +355,65 @@ mod tests {
         // dynamic state is identical, so their keys must collide.
         let cfg = tiny(Scheme::Dhs { setaside: 1 });
         let run = |idle: u32| {
-            let mut m = ChannelModel::new(&cfg, &[1], 1);
-            for _ in 0..idle {
+            crate::with_scheme!(&cfg, |arbiter, flow| {
+                let mut m = ChannelModel::new(&cfg, arbiter, flow, &[1], 1);
+                for _ in 0..idle {
+                    m.step(&[]).unwrap();
+                }
+                m.step(&[0]).unwrap();
+                while !m.drained() {
+                    m.step(&[]).unwrap();
+                }
                 m.step(&[]).unwrap();
-            }
-            m.step(&[0]).unwrap();
-            while !m.drained() {
-                m.step(&[]).unwrap();
-            }
-            m.step(&[]).unwrap();
-            m.state_key()
+                m.state_key()
+            })
         };
         assert_eq!(run(0), run(7), "drained states must dedupe across time");
     }
 
-    #[test]
-    fn choices_enumerate_injection_subsets() {
-        let cfg = tiny(Scheme::TokenSlot);
-        let mut big = cfg;
+    fn tiny4() -> NetworkConfig {
+        let mut big = tiny(Scheme::TokenSlot);
         big.nodes = 4;
         big.ring_segments = 4;
         big.cores_per_node = 2;
-        let m = ChannelModel::new(&big, &[1, 2, 3], 1);
-        assert_eq!(m.choices().len(), 8, "2^3 subsets of 3 ready senders");
-        let m2 = ChannelModel::new(&big, &[1, 2, 3], 0);
-        assert_eq!(m2.choices().len(), 1, "only the empty choice remains");
+        big
+    }
+
+    #[test]
+    fn choices_enumerate_injection_subsets() {
+        let big = tiny4();
+        let choices = |packets_each| {
+            crate::with_scheme!(&big, |arbiter, flow| {
+                ChannelModel::new(&big, arbiter, flow, &[1, 2, 3], packets_each)
+                    .choices()
+                    .len()
+            })
+        };
+        assert_eq!(choices(1), 8, "2^3 subsets of 3 ready senders");
+        assert_eq!(choices(0), 1, "only the empty choice remains");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate sender 1")]
+    fn repeated_senders_are_rejected() {
+        // `[1, 1]` would inject two packets with id `1 << 32`.
+        let big = tiny4();
+        crate::with_scheme!(&big, |arbiter, flow| {
+            ChannelModel::new(&big, arbiter, flow, &[1, 1], 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing disagrees")]
+    fn mismatched_pairings_are_rejected() {
+        let cfg = tiny(Scheme::Dhs { setaside: 0 });
+        let flow = crate::schemes::SlotFlow::default();
+        ChannelModel::new(
+            &cfg,
+            crate::schemes::DistributedArbiter::new(),
+            flow,
+            &[1],
+            1,
+        );
     }
 }

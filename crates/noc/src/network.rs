@@ -1,8 +1,13 @@
 //! The network orchestrator: all channels plus the injection pipeline.
+//!
+//! Channels are built through [`crate::with_scheme!`], the one table that
+//! maps a [`crate::Scheme`] to its (arbiter, flow) pairing, and stored
+//! monomorphized per scheme family in `Channels`; the per-cycle phase
+//! sweeps dispatch on that enum once per sweep, not once per channel.
 
 use crate::calendar::Calendar;
 use crate::channel::{Channel, Delivery};
-use crate::config::{NetworkConfig, Scheme};
+use crate::config::NetworkConfig;
 use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::packet::{Packet, PacketKind};
 use crate::schemes::{
@@ -45,60 +50,35 @@ macro_rules! for_channels {
     };
 }
 
-/// Resolve `cfg.scheme` into its monomorphized channel vector. Mirrors
-/// [`crate::schemes::build`] — the runtime-dispatched pairing and this
-/// concrete one must pick identical (arbiter, flow) states.
+/// Wrap each concrete channel vector in its `Channels` variant, so
+/// [`build_channels`] can construct channels generically over the pairing.
+macro_rules! channels_from {
+    ($($variant:ident: $a:ty, $f:ty;)*) => {$(
+        impl From<Vec<Channel<$a, $f>>> for Channels {
+            fn from(chs: Vec<Channel<$a, $f>>) -> Self {
+                Channels::$variant(chs)
+            }
+        }
+    )*};
+}
+
+channels_from! {
+    Credit: GlobalArbiter, CreditFlow;
+    GlobalHandshake: GlobalArbiter, HandshakeFlow;
+    Slot: DistributedArbiter, SlotFlow;
+    DistHandshake: DistributedArbiter, HandshakeFlow;
+    Circulation: DistributedArbiter, CirculationFlow;
+}
+
+/// Resolve `cfg.scheme` into its monomorphized channel vector: one channel
+/// per home, each over a copy of the pairing [`crate::with_scheme!`] binds.
 fn build_channels(cfg: &NetworkConfig) -> Channels {
-    match cfg.scheme {
-        Scheme::TokenChannel => Channels::Credit(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(
-                        h,
-                        cfg,
-                        GlobalArbiter::new(),
-                        CreditFlow::new(crate::convert::narrow_u32(cfg.input_buffer)),
-                    )
-                })
-                .collect(),
-        ),
-        Scheme::Ghs { setaside } => Channels::GlobalHandshake(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(
-                        h,
-                        cfg,
-                        GlobalArbiter::new(),
-                        HandshakeFlow::new(cfg.ring_segments, setaside > 0),
-                    )
-                })
-                .collect(),
-        ),
-        Scheme::TokenSlot => Channels::Slot(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(h, cfg, DistributedArbiter::new(), SlotFlow::default())
-                })
-                .collect(),
-        ),
-        Scheme::Dhs { setaside } => Channels::DistHandshake(
-            (0..cfg.nodes)
-                .map(|h| {
-                    Channel::with_pipeline(
-                        h,
-                        cfg,
-                        DistributedArbiter::new(),
-                        HandshakeFlow::new(cfg.ring_segments, setaside > 0),
-                    )
-                })
-                .collect(),
-        ),
-        Scheme::DhsCirculation => Channels::Circulation(
-            (0..cfg.nodes)
-                .map(|h| Channel::with_pipeline(h, cfg, DistributedArbiter::new(), CirculationFlow))
-                .collect(),
-        ),
-    }
+    crate::with_scheme!(cfg, |arbiter, flow| {
+        let chs: Vec<_> = (0..cfg.nodes)
+            .map(|h| Channel::with_pipeline(h, cfg, arbiter.clone(), flow.clone()))
+            .collect();
+        Channels::from(chs)
+    })
 }
 
 /// A complete ring network: one MWSR channel per node, an injection-router
@@ -574,6 +554,7 @@ pub fn run_classed_point_detailed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Scheme;
     use crate::sources::SyntheticSource;
     use pnoc_traffic::pattern::TrafficPattern;
 

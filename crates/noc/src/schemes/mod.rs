@@ -13,13 +13,15 @@
 //! | DHS (± setaside)    | [`DistributedArbiter`] (stream)   | [`HandshakeFlow`]   |
 //! | DHS w/ circulation  | [`DistributedArbiter`] (stream)   | [`CirculationFlow`] |
 //!
-//! [`build`] resolves a [`Scheme`] into an ([`ArbiterKind`], [`FlowKind`])
-//! pair exactly once, when a runtime-dispatched channel is constructed (the
-//! model checker, unit rigs). The network's hot path goes further: it
-//! monomorphizes [`crate::channel::Channel`] over the concrete pairing, so
-//! the per-cycle phase bodies compile with both layers' hooks inlined and
-//! zero enum dispatch — adding a scheme variant means writing (or reusing)
-//! one arbiter and one flow implementation, not editing every phase of a
+//! [`with_scheme!`](crate::with_scheme) is the one place that maps a
+//! [`Scheme`](crate::Scheme) to its pairing: each match arm binds the
+//! concrete arbiter and flow values, so the caller's body compiles once per
+//! pairing with both layers' hooks inlined and zero enum dispatch. The
+//! network builds its channels through it, and so do the bounded model
+//! checker ([`crate::fsm::ChannelModel`]) and the channel tests — every one
+//! of them runs the same monomorphized [`crate::channel::Channel`] types.
+//! Adding a scheme variant means writing (or reusing) one arbiter and one
+//! flow implementation and one arm here, not editing every phase of a
 //! monolithic channel.
 //!
 //! The layers meet only at the narrow hooks on [`Flow`]
@@ -36,43 +38,76 @@ pub mod bitplane;
 pub mod flow;
 
 pub use admission::AdmissionCtl;
-pub use arbiter::{
-    Arbiter, ArbiterKind, DistributedArbiter, GlobalArbiter, GlobalTokenState, TokenCx,
-};
+pub use arbiter::{Arbiter, DistributedArbiter, GlobalArbiter, GlobalTokenState, TokenCx};
 pub use bitplane::{BitPlane, ClassPlanes, Planes, SortedIdSet};
-pub use flow::{
-    AckEvent, ArrivalCx, CirculationFlow, CreditFlow, Flow, FlowKind, HandshakeFlow, SlotFlow,
-};
+pub use flow::{AckEvent, ArrivalCx, CirculationFlow, CreditFlow, Flow, HandshakeFlow, SlotFlow};
 
-use crate::config::{NetworkConfig, Scheme};
+use crate::config::NetworkConfig;
 
-/// Resolve `cfg.scheme` into its arbitration/flow-control pairing. Called
-/// once per channel at construction; the runtime-dispatched channel matches
-/// on the returned enum variants, the monomorphized network destructures
-/// them into concrete types.
-pub fn build(cfg: &NetworkConfig) -> (ArbiterKind, FlowKind) {
-    let arbiter = if cfg.scheme.is_global() {
-        ArbiterKind::Global(GlobalArbiter::new())
-    } else {
-        ArbiterKind::Distributed(DistributedArbiter::new())
-    };
-    let flow = match cfg.scheme {
-        Scheme::TokenChannel => FlowKind::Credit(CreditFlow::new(crate::convert::narrow_u32(
-            cfg.input_buffer,
-        ))),
-        Scheme::TokenSlot => FlowKind::Slot(SlotFlow::default()),
-        Scheme::Ghs { setaside } | Scheme::Dhs { setaside } => {
-            FlowKind::Handshake(HandshakeFlow::new(cfg.ring_segments, setaside > 0))
+/// Run `body` with `arbiter` and `flow` bound to the concrete
+/// (arbiter, flow) pairing `cfg.scheme` selects, freshly constructed for
+/// `cfg`. Each arm binds different types, so `body` is compiled once per
+/// pairing; its value is the value of the whole expression.
+///
+/// ```
+/// use pnoc_noc::schemes::{Arbiter, Flow};
+/// use pnoc_noc::{with_scheme, NetworkConfig, Scheme};
+///
+/// let cfg = NetworkConfig::small(Scheme::TokenChannel); // buffer 4
+/// let (tokens, credits) = with_scheme!(&cfg, |arbiter, flow| {
+///     (arbiter.outstanding_tokens(), flow.credits())
+/// });
+/// assert_eq!((tokens, credits), (0, Some(4)));
+/// ```
+#[macro_export]
+macro_rules! with_scheme {
+    ($cfg:expr, |$arbiter:ident, $flow:ident| $body:expr) => {{
+        let cfg: &$crate::NetworkConfig = $cfg;
+        match cfg.scheme {
+            $crate::Scheme::TokenChannel => {
+                let $arbiter = $crate::schemes::GlobalArbiter::new();
+                let $flow =
+                    $crate::schemes::CreditFlow::new($crate::convert::narrow_u32(cfg.input_buffer));
+                $body
+            }
+            $crate::Scheme::Ghs { setaside } => {
+                let $arbiter = $crate::schemes::GlobalArbiter::new();
+                let $flow = $crate::schemes::HandshakeFlow::new(cfg.ring_segments, setaside > 0);
+                $body
+            }
+            $crate::Scheme::TokenSlot => {
+                let $arbiter = $crate::schemes::DistributedArbiter::new();
+                let $flow = $crate::schemes::SlotFlow::default();
+                $body
+            }
+            $crate::Scheme::Dhs { setaside } => {
+                let $arbiter = $crate::schemes::DistributedArbiter::new();
+                let $flow = $crate::schemes::HandshakeFlow::new(cfg.ring_segments, setaside > 0);
+                $body
+            }
+            $crate::Scheme::DhsCirculation => {
+                let $arbiter = $crate::schemes::DistributedArbiter::new();
+                let $flow = $crate::schemes::CirculationFlow;
+                $body
+            }
         }
-        Scheme::DhsCirculation => FlowKind::Circulation(CirculationFlow),
-    };
-    (arbiter, flow)
+    }};
+}
+
+/// Type names of the (arbiter, flow) pairing [`with_scheme!`](crate::with_scheme)
+/// binds for `cfg` — what a constructor taking a caller-supplied pairing
+/// checks it against.
+pub fn pairing_names(cfg: &NetworkConfig) -> (&'static str, &'static str) {
+    crate::with_scheme!(cfg, |arbiter, flow| (
+        std::any::type_name_of_val(&arbiter),
+        std::any::type_name_of_val(&flow)
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FairnessPolicy;
+    use crate::config::{FairnessPolicy, Scheme};
     use crate::metrics::NetworkMetrics;
     use crate::outqueue::{OutQueue, SendMode};
     use crate::packet::{Packet, PacketArena, PacketKind, PacketRef};
@@ -162,22 +197,48 @@ mod tests {
     }
 
     #[test]
-    fn build_pairs_every_scheme_correctly() {
-        let check = |scheme: Scheme, global: bool| {
+    fn with_scheme_pairs_every_scheme_correctly() {
+        use std::any::type_name;
+        // The table in the module docs, written out independently of
+        // `with_scheme!`.
+        let (global, distributed) = (
+            type_name::<GlobalArbiter>(),
+            type_name::<DistributedArbiter>(),
+        );
+        let handshake = type_name::<HandshakeFlow>();
+        let expected = [
+            (Scheme::TokenChannel, global, type_name::<CreditFlow>()),
+            (Scheme::Ghs { setaside: 0 }, global, handshake),
+            (Scheme::Ghs { setaside: 4 }, global, handshake),
+            (Scheme::TokenSlot, distributed, type_name::<SlotFlow>()),
+            (Scheme::Dhs { setaside: 0 }, distributed, handshake),
+            (Scheme::Dhs { setaside: 4 }, distributed, handshake),
+            (
+                Scheme::DhsCirculation,
+                distributed,
+                type_name::<CirculationFlow>(),
+            ),
+        ];
+        let schemes: Vec<Scheme> = expected.iter().map(|e| e.0).collect();
+        assert_eq!(schemes, Scheme::paper_set(4), "table covers the paper set");
+        for (scheme, arbiter, flow) in expected {
             let cfg = NetworkConfig::small(scheme);
-            let (a, f) = build(&cfg);
-            assert_eq!(matches!(a, ArbiterKind::Global(_)), global, "{scheme:?}");
-            match scheme {
-                Scheme::TokenChannel => assert!(matches!(f, FlowKind::Credit(_))),
-                Scheme::TokenSlot => assert!(matches!(f, FlowKind::Slot(_))),
-                Scheme::Ghs { .. } | Scheme::Dhs { .. } => {
-                    assert!(matches!(f, FlowKind::Handshake(_)));
-                }
-                Scheme::DhsCirculation => assert!(matches!(f, FlowKind::Circulation(_))),
-            }
-        };
-        for scheme in Scheme::paper_set(4) {
-            check(scheme, scheme.is_global());
+            assert_eq!(arbiter == global, scheme.is_global(), "{scheme:?}");
+            assert_eq!(pairing_names(&cfg), (arbiter, flow), "{scheme:?}");
+            // The bound pair is constructed for `cfg`: no tokens out yet,
+            // the token channel's token starts with one credit per buffer
+            // slot, and only the handshake schemes carry handshake state,
+            // with setaside buffers exactly when the scheme has them.
+            crate::with_scheme!(&cfg, |arbiter, flow| {
+                assert_eq!(arbiter.outstanding_tokens(), 0, "{scheme:?}");
+                let credits = (scheme == Scheme::TokenChannel).then_some(4);
+                assert_eq!(flow.credits(), credits, "{scheme:?}");
+                let setaside = match scheme {
+                    Scheme::Ghs { setaside } | Scheme::Dhs { setaside } => Some(setaside > 0),
+                    _ => None,
+                };
+                assert_eq!(flow.handshake().map(|h| h.setaside), setaside, "{scheme:?}");
+            });
         }
     }
 
@@ -187,7 +248,7 @@ mod tests {
         // concurrent commitments; an idle network just recycles them.
         let mut rig = Rig::new(SendMode::Forget);
         let mut d = DistributedArbiter::new();
-        let mut f = FlowKind::Slot(SlotFlow::default());
+        let mut f = SlotFlow::default();
         let mut m = NetworkMetrics::new();
         for now in 0..32u64 {
             let mut cx = rig.cx(now);
@@ -202,7 +263,7 @@ mod tests {
         // of them (a token lives segments = nodes/step = 4 cycles).
         let mut rig = Rig::new(SendMode::Forget);
         let mut d = DistributedArbiter::new();
-        let mut f = FlowKind::Handshake(HandshakeFlow::new(4, false));
+        let mut f = HandshakeFlow::new(4, false);
         for now in 0..32u64 {
             let mut cx = rig.cx(now);
             d.step(&mut f, &mut cx, &mut m);
@@ -216,7 +277,7 @@ mod tests {
         // on_slot_freed, and watch them return only when the sweep wraps.
         let mut rig = Rig::new(SendMode::Forget);
         let mut g = GlobalArbiter::new();
-        let mut f = FlowKind::Credit(CreditFlow::new(2));
+        let mut f = CreditFlow::new(2);
         let mut m = NetworkMetrics::new();
         rig.enqueue(pkt(1, 2));
         rig.enqueue(pkt(2, 2));
@@ -249,9 +310,9 @@ mod tests {
     #[test]
     fn global_token_without_credits_never_blocks() {
         // GHS: the token carries nothing, so has_credit is always true.
-        let f = FlowKind::Handshake(HandshakeFlow::new(4, false));
+        let f = HandshakeFlow::new(4, false);
         assert!(f.has_credit());
-        let f = FlowKind::Credit(CreditFlow::new(0));
+        let f = CreditFlow::new(0);
         assert!(!f.has_credit(), "an empty token channel must block");
     }
 
@@ -267,8 +328,8 @@ mod tests {
         rig_scan.planes.sendable.set(14, true);
         let mut a_idle = DistributedArbiter::new();
         let mut a_scan = DistributedArbiter::new();
-        let mut f_idle = FlowKind::Handshake(HandshakeFlow::new(4, false));
-        let mut f_scan = FlowKind::Handshake(HandshakeFlow::new(4, false));
+        let mut f_idle = HandshakeFlow::new(4, false);
+        let mut f_scan = HandshakeFlow::new(4, false);
         let mut m = NetworkMetrics::new();
         for now in 0..40u64 {
             let mut cx = rig_idle.cx(now);

@@ -9,7 +9,8 @@
 use pnoc_noc::channel::Channel;
 use pnoc_noc::metrics::NetworkMetrics;
 use pnoc_noc::packet::{Packet, PacketKind};
-use pnoc_noc::{NetworkConfig, Scheme};
+use pnoc_noc::schemes::{Arbiter, Flow};
+use pnoc_noc::{with_scheme, ChannelModel, NetworkConfig, Scheme};
 
 fn pkt(id: u64, src: usize) -> Packet {
     Packet {
@@ -28,20 +29,21 @@ fn pkt(id: u64, src: usize) -> Packet {
     }
 }
 
-/// Run one channel until S2's first transmission; return that cycle.
-fn s2_first_send(scheme: Scheme) -> u64 {
-    let cfg = NetworkConfig::paper_default(scheme); // 64 nodes, R=8, B=8
-    let mut ch = Channel::new(0, &cfg);
+/// S1 (node 8, distance 7 from home) queues `s1_backlog` packets and S2
+/// (node 24, distance 23, downstream of S1) one; cycle channel 0 until S2's
+/// packet is delivered and return the cycle it was sent.
+fn s2_send_cycle<A: Arbiter, F: Flow>(
+    ch: &mut Channel<A, F>,
+    s1_backlog: u64,
+    horizon: u64,
+) -> Option<u64> {
     let mut m = NetworkMetrics::new();
     let mut deliveries = Vec::new();
-    let s1 = 8usize; // distance 7 from home
-    let s2 = 24usize; // distance 23, downstream of S1
-                      // S1 floods (more than the 8 credits the token carries), S2 has one.
-    for i in 0..12 {
-        ch.enqueue(pkt(i, s1));
+    for i in 0..s1_backlog {
+        ch.enqueue(pkt(i, 8));
     }
-    ch.enqueue(pkt(100, s2));
-    for now in 0..400u64 {
+    ch.enqueue(pkt(100, 24));
+    for now in 0..horizon {
         ch.phase_advance();
         ch.phase_arrival(now, &mut m);
         ch.phase_acks(now, &mut m);
@@ -49,10 +51,26 @@ fn s2_first_send(scheme: Scheme) -> u64 {
         ch.phase_tokens(now, &mut m);
         ch.phase_eject(now, &mut m, &mut deliveries);
         if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
-            return d.pkt.sent_at;
+            return Some(d.pkt.sent_at);
         }
     }
-    panic!("{scheme:?}: S2 never transmitted");
+    None
+}
+
+/// [`s2_send_cycle`] on channel 0 of `cfg`, over the pairing its scheme
+/// selects.
+fn s2_wait(cfg: &NetworkConfig, s1_backlog: u64, horizon: u64) -> u64 {
+    with_scheme!(cfg, |arbiter, flow| {
+        let mut model = ChannelModel::new(cfg, arbiter, flow, &[], 0);
+        s2_send_cycle(model.channel_mut(), s1_backlog, horizon)
+    })
+    .unwrap_or_else(|| panic!("{:?}: S2 never transmitted", cfg.scheme))
+}
+
+/// Run one paper-default channel until S2's first transmission; return that
+/// cycle. S1 floods (more than the 8 credits the token carries).
+fn s2_first_send(scheme: Scheme) -> u64 {
+    s2_wait(&NetworkConfig::paper_default(scheme), 12, 400) // 64 nodes, R=8, B=8
 }
 
 #[test]
@@ -90,25 +108,7 @@ fn s2_wait_is_credit_independent_under_handshake() {
     let wait_with = |scheme: Scheme, credits: usize, s1_backlog: u64| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         cfg.input_buffer = credits;
-        let mut ch = Channel::new(0, &cfg);
-        let mut m = NetworkMetrics::new();
-        let mut deliveries = Vec::new();
-        for i in 0..s1_backlog {
-            ch.enqueue(pkt(i, 8));
-        }
-        ch.enqueue(pkt(100, 24));
-        for now in 0..600u64 {
-            ch.phase_advance();
-            ch.phase_arrival(now, &mut m);
-            ch.phase_acks(now, &mut m);
-            ch.phase_transmit(now, &mut m);
-            ch.phase_tokens(now, &mut m);
-            ch.phase_eject(now, &mut m, &mut deliveries);
-            if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
-                return d.pkt.sent_at;
-            }
-        }
-        panic!("S2 never transmitted");
+        s2_wait(&cfg, s1_backlog, 600)
     };
     // Token channel: S1's greedy burst is capped by the credit count, so
     // more credits = a longer monopoly before S2's turn (S1 backlog tracks

@@ -3,10 +3,11 @@
 //! accounting — credit schemes never overflow the buffer, handshake schemes
 //! drop-and-retransmit, circulation recirculates, and nothing is ever lost.
 
-use pnoc_noc::channel::Channel;
+use pnoc_noc::channel::{Channel, Delivery};
 use pnoc_noc::metrics::NetworkMetrics;
 use pnoc_noc::packet::{Packet, PacketKind};
-use pnoc_noc::{NetworkConfig, Scheme};
+use pnoc_noc::schemes::{Arbiter, Flow};
+use pnoc_noc::{with_scheme, ChannelModel, NetworkConfig, Scheme};
 use pnoc_sim::SimRng;
 use proptest::prelude::*;
 
@@ -25,6 +26,47 @@ fn pkt(id: u64, src: usize, dst: usize) -> Packet {
         tag: 0,
         class: 0,
     }
+}
+
+/// 3 senders × 10 packets into channel 0, cycled until drained (or a
+/// 60k-cycle horizon) while the home's ejection port stalls with
+/// probability `stall_p` per cycle. Checks the channel invariants and the
+/// buffer bound every cycle.
+fn flood_with_stalls<A: Arbiter, F: Flow>(
+    ch: &mut Channel<A, F>,
+    buffer: usize,
+    stall_p: f64,
+    seed: u64,
+) -> Result<(Vec<Delivery>, NetworkMetrics), TestCaseError> {
+    let mut m = NetworkMetrics::new();
+    let mut deliveries = Vec::new();
+    let mut rng = SimRng::seed_from(seed);
+    let mut id = 0;
+    for src in [3usize, 8, 14] {
+        for _ in 0..10 {
+            ch.enqueue(pkt(id, src, 0));
+            id += 1;
+        }
+    }
+    let mut now = 0u64;
+    let horizon = 60_000u64;
+    while now < horizon && !(ch.is_drained() && deliveries.len() == 30) {
+        ch.set_ejection_per_cycle(if rng.chance(stall_p) { 0 } else { 1 });
+        ch.phase_advance();
+        ch.phase_arrival(now, &mut m);
+        ch.phase_acks(now, &mut m);
+        ch.phase_transmit(now, &mut m);
+        ch.phase_tokens(now, &mut m);
+        ch.phase_eject(now, &mut m, &mut deliveries);
+        ch.check_invariants();
+        prop_assert!(
+            ch.buffer_occupancy() <= buffer,
+            "buffer overflow under stall"
+        );
+        now += 1;
+    }
+    prop_assert!(ch.is_drained(), "failed to drain");
+    Ok((deliveries, m))
 }
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
@@ -52,39 +94,11 @@ proptest! {
     ) {
         let mut cfg = NetworkConfig::small(scheme); // 16 nodes, 4 segments
         cfg.input_buffer = buffer;
-        let mut ch = Channel::new(0, &cfg);
-        let mut m = NetworkMetrics::new();
-        let mut deliveries = Vec::new();
-        let mut rng = SimRng::seed_from(seed);
-
-        // 3 senders × 10 packets into channel 0.
-        let mut id = 0;
-        for src in [3usize, 8, 14] {
-            for _ in 0..10 {
-                ch.enqueue(pkt(id, src, 0));
-                id += 1;
-            }
-        }
-
-        let mut now = 0u64;
-        let horizon = 60_000u64;
-        while now < horizon && !(ch.is_drained() && deliveries.len() == 30) {
-            ch.set_ejection_per_cycle(if rng.chance(stall_p) { 0 } else { 1 });
-            ch.phase_advance();
-            ch.phase_arrival(now, &mut m);
-            ch.phase_acks(now, &mut m);
-            ch.phase_transmit(now, &mut m);
-            ch.phase_tokens(now, &mut m);
-            ch.phase_eject(now, &mut m, &mut deliveries);
-            ch.check_invariants();
-            prop_assert!(
-                ch.buffer_occupancy() <= buffer,
-                "buffer overflow under stall"
-            );
-            now += 1;
-        }
+        let (deliveries, m) = with_scheme!(&cfg, |arbiter, flow| {
+            let mut model = ChannelModel::new(&cfg, arbiter, flow, &[], 0);
+            flood_with_stalls(model.channel_mut(), buffer, stall_p, seed)
+        })?;
         prop_assert_eq!(deliveries.len(), 30, "{:?} lost packets", scheme);
-        prop_assert!(ch.is_drained(), "{:?} failed to drain", scheme);
 
         // No duplicates.
         let mut ids: Vec<u64> = deliveries.iter().map(|d| d.pkt.id).collect();

@@ -17,8 +17,8 @@
 //!   ([`pnoc_noc::SyntheticSource`], `pnoc-traffic` patterns), and the
 //!   `pnoc-faults` injector (both simulators must see the *same* fault
 //!   schedule for a diff to mean anything);
-//! * **not** shared: `Channel`, the scheme pipeline
-//!   (`ArbiterKind`/`FlowKind`), `OutQueue`, `SendableSet`, `Calendar`,
+//! * **not** shared: `Channel`, the scheme pipeline (`with_scheme!` and
+//!   the arbiter/flow types), `OutQueue`, `SendableSet`, `Calendar`,
 //!   `SlotRing` — every piece of per-cycle machinery is reimplemented here
 //!   as straight-line interpreters over plain `Vec`s.
 //!

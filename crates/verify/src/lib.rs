@@ -11,9 +11,10 @@
 //!    in the checked-in `crates/verify/allowlist.txt`, so every new one is
 //!    a reviewable diff.
 //! 2. **Bounded model checking** ([`checker`], [`scenarios`]) — exhaustive
-//!    exploration of the *real* [`pnoc_noc::channel::Channel`] (via
-//!    [`pnoc_noc::ChannelModel`]) for small configurations of every
-//!    scheme, proving deadlock-freedom, exactly-once delivery and bounded
+//!    exploration of the *real* [`pnoc_noc::channel::Channel`] — the same
+//!    monomorphized `Channel<A, F>` the network runs, via
+//!    [`pnoc_noc::ChannelModel`] and [`pnoc_noc::with_scheme!`] — for small
+//!    configurations of every scheme, proving deadlock-freedom, exactly-once delivery and bounded
 //!    handshake resolution under deterministic budgeted fault schedules,
 //!    with concrete counterexample schedules on violation.
 //! 3. **Runtime invariant audit** ([`audits`]) — the cycle-level

@@ -94,9 +94,26 @@ impl Scenario {
         cfg
     }
 
-    /// Build the model this scenario explores.
-    pub fn model(&self) -> ChannelModel {
-        ChannelModel::new(&self.network_config(), &self.senders, self.packets_each)
+    /// Model-check this scenario: build its [`ChannelModel`] over the
+    /// concrete channel pairing the network runs for the scheme (through
+    /// [`pnoc_noc::with_scheme!`]) and explore it under `cfg`.
+    pub fn check(&self, cfg: &CheckConfig) -> CheckOutcome {
+        self.explore(cfg, false)
+    }
+
+    /// [`Scenario::check`], optionally with the intentional
+    /// duplicate-suppression bug armed
+    /// ([`ChannelModel::sabotage_forget_accepted`]).
+    fn explore(&self, cfg: &CheckConfig, sabotage: bool) -> CheckOutcome {
+        let net = self.network_config();
+        pnoc_noc::with_scheme!(&net, |arbiter, flow| {
+            let mut model =
+                ChannelModel::new(&net, arbiter, flow, &self.senders, self.packets_each);
+            if sabotage {
+                model.sabotage_forget_accepted();
+            }
+            check(&model, cfg)
+        })
     }
 }
 
@@ -157,8 +174,7 @@ pub fn run_matrix(cfg: &CheckConfig) -> Vec<ScenarioResult> {
     matrix()
         .into_iter()
         .map(|scenario| {
-            let model = scenario.model();
-            let outcome = check(&model, cfg);
+            let outcome = scenario.check(cfg);
             ScenarioResult { scenario, outcome }
         })
         .collect()
@@ -216,9 +232,7 @@ pub fn duplicate_bug_counterexample() -> CheckOutcome {
         packets_each: 1,
         faults: FaultSchedule::OneAckLoss,
     };
-    let mut model = scenario.model();
-    model.sabotage_forget_accepted();
-    check(&model, &CheckConfig::default())
+    scenario.explore(&CheckConfig::default(), true)
 }
 
 #[cfg(test)]
@@ -249,7 +263,7 @@ mod tests {
             packets_each: 1,
             faults: FaultSchedule::OneAckLoss,
         };
-        let outcome = check(&scenario.model(), &CheckConfig::default());
+        let outcome = scenario.check(&CheckConfig::default());
         assert!(
             outcome.ok(),
             "duplicate suppression must survive: {outcome:?}"
@@ -265,6 +279,6 @@ mod tests {
             packets_each: 2,
             faults: FaultSchedule::None,
         };
-        assert!(check(&scenario.model(), &CheckConfig::default()).ok());
+        assert!(scenario.check(&CheckConfig::default()).ok());
     }
 }
