@@ -55,11 +55,11 @@ echo "== pnoc-verify (lints + model check + invariant audit) =="
 cargo run --release -q -p pnoc-verify --offline -- --all
 
 echo "== pnoc-fleet concurrency model check (mini-loom) =="
-# Exhaustive bounded interleaving exploration of the fleet's three
-# protocols — deque push/steal, the queued/idle park/wake handshake, and
-# the EpochSnapshot writer/reader swap — with the shipping executor and
-# snapshot code compiled against the deterministic model scheduler
-# (modeled weak memory, mandatory spurious wakeups, preemption bounding).
+# Exhaustive bounded interleaving exploration of the fleet's two
+# protocols — deque push/steal and the queued/idle park/wake handshake —
+# with the shipping executor code compiled against the deterministic model
+# scheduler (modeled weak memory, mandatory spurious wakeups, preemption
+# bounding).
 # Then the sabotage self-test: with sabotage-lost-wake compiled in (the
 # idle decrement moved before the condvar wait in Core::park, reopening
 # the classic check-then-sleep race), the checker must FIND the lost-wakeup
@@ -123,21 +123,28 @@ cmp "$FLEET_DIR/ref.json" "$FLEET_DIR/resumed.json"
 echo "fleet smoke: interrupted+resumed report is byte-identical"
 
 echo "== pnoc-bench serve smoke (NDJSON protocol) =="
-# One scripted session: retune ckpt_every via a config epoch, run a small
-# sweep (streams one cell line per aggregation cell, then a done line),
-# survive a malformed request, shut down cleanly.
+# One scripted session: set ckpt_every (the reply echoes the applied knobs
+# and epoch 1), run a small sweep (streams one cell line per aggregation
+# cell, then a done line), reject a mistyped set and a malformed line with
+# one error line each, shut down cleanly.
 printf '%s\n' \
   '{"set":{"ckpt_every":4}}' \
   '{"id":"ci","sweep":{"base":"Small","schemes":["TokenSlot"],"patterns":["UniformRandom"],"rates":[0.05,0.1],"replicas":2,"master_seed":7,"warmup":50,"measure":200,"drain":50}}' \
+  '{"set":{"ckpt_every":"4"}}' \
   'this is not json' \
   '{"shutdown":true}' \
   | cargo run --release -q -p pnoc-bench --offline --bin serve \
   > "$FLEET_DIR/serve.ndjson"
+grep -q '"ok":true,"epoch":1,"ckpt_every":4' "$FLEET_DIR/serve.ndjson"
 grep -q '"done":true' "$FLEET_DIR/serve.ndjson"
 grep -q '"complete":true' "$FLEET_DIR/serve.ndjson"
-grep -q '"error":' "$FLEET_DIR/serve.ndjson"
+errors=$(grep -c '"error":' "$FLEET_DIR/serve.ndjson" || true)
+if [ "$errors" -ne 2 ]; then
+  echo "serve smoke: expected 2 error lines (mistyped set, non-JSON), got $errors" >&2
+  exit 1
+fi
 grep -q '"bye":true' "$FLEET_DIR/serve.ndjson"
-echo "serve smoke: set/sweep/error/shutdown all answered"
+echo "serve smoke: set/sweep/errors/shutdown all answered"
 
 echo "== cargo test =="
 cargo test -q --workspace --offline

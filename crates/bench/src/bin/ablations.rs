@@ -10,10 +10,9 @@
 //!    sit-out policy (§III-D).
 
 use pnoc_bench::figures::PAPER_SETASIDE;
-use pnoc_bench::{Fidelity, Table};
+use pnoc_bench::{fleet, Fidelity, Table};
 use pnoc_noc::network::run_synthetic_point;
 use pnoc_noc::{FairnessPolicy, NetworkConfig, Scheme};
-use pnoc_sim::run_parallel;
 use pnoc_traffic::pattern::TrafficPattern;
 
 fn main() {
@@ -28,7 +27,7 @@ fn main() {
     let sizes = [(32usize, 4usize), (64, 8), (128, 16)];
     let mut t = Table::new(["scheme", "N=32,R=4", "N=64,R=8", "N=128,R=16"]);
     for scheme in [Scheme::TokenSlot, dhs] {
-        let lat = run_parallel(&sizes, |_, &(nodes, segments)| {
+        let lat = fleet().map(sizes.to_vec(), move |_, &(nodes, segments)| {
             let mut cfg = NetworkConfig::paper_default(scheme);
             cfg.nodes = nodes;
             cfg.ring_segments = segments;
@@ -47,8 +46,7 @@ fn main() {
     println!("Ablation 2 — home ejection bandwidth, UR @ 0.13");
     let mut t = Table::new(["scheme", "eject=1", "eject=2"]);
     for scheme in [Scheme::TokenSlot, dhs] {
-        let widths = [1usize, 2];
-        let lat = run_parallel(&widths, |_, &e| {
+        let lat = fleet().map(vec![1usize, 2], move |_, &e| {
             let mut cfg = NetworkConfig::paper_default(scheme);
             cfg.ejection_per_cycle = e;
             let s = run_synthetic_point(cfg, TrafficPattern::UniformRandom, 0.13, plan);
@@ -95,7 +93,7 @@ fn main() {
         "avg latency",
         "throughput",
     ]);
-    let rows = run_parallel(&policies, |_, &(_, policy)| {
+    let rows = fleet().map(policies.to_vec(), move |_, &(_, policy)| {
         let mut cfg = NetworkConfig::paper_default(Scheme::DhsCirculation);
         cfg.fairness = policy;
         run_synthetic_point(

@@ -2,6 +2,7 @@
 //! schemes under UR and BC at paper scale, to sanity-check curve shapes
 //! against Figs. 2(b), 8 and 9 before the full harnesses run.
 
+use pnoc_bench::fleet;
 use pnoc_noc::network::run_synthetic_point;
 use pnoc_noc::{NetworkConfig, Scheme};
 use pnoc_sim::RunPlan;
@@ -22,7 +23,7 @@ fn main() {
             .iter()
             .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
             .collect();
-        let results = pnoc_sim::run_parallel(&jobs, |_, &(scheme, rate)| {
+        let results = fleet().map(jobs, move |_, &(scheme, rate)| {
             let cfg = NetworkConfig::paper_default(scheme);
             run_synthetic_point(cfg, pattern, rate, plan)
         });
@@ -41,8 +42,7 @@ fn main() {
         // Token-slot credit sensitivity (Fig. 2b shape).
         for credits in [4usize, 16] {
             print!("{:<20}", format!("TokenSlot c={credits}"));
-            let jobs: Vec<f64> = rates.to_vec();
-            let res = pnoc_sim::run_parallel(&jobs, |_, &rate| {
+            let res = fleet().map(rates.to_vec(), move |_, &rate| {
                 let mut cfg = NetworkConfig::paper_default(Scheme::TokenSlot);
                 cfg.input_buffer = credits;
                 run_synthetic_point(cfg, pattern, rate, plan)

@@ -7,11 +7,10 @@
 //!    buffers ≈ 8-flit buffers) while the optical ring's long credit loop is
 //!    exactly what the paper's handshake removes.
 
-use pnoc_bench::{Fidelity, Table};
+use pnoc_bench::{fleet, Fidelity, Table};
 use pnoc_noc::emesh::{MeshConfig, MeshNetwork};
 use pnoc_noc::network::run_synthetic_point;
 use pnoc_noc::{NetworkConfig, Scheme, SyntheticSource};
-use pnoc_sim::run_parallel;
 use pnoc_traffic::pattern::TrafficPattern;
 
 fn mesh_point(
@@ -44,7 +43,7 @@ fn main() {
 
     // Electrical mesh rows: 2-flit and 8-flit port buffers.
     for buffer in [2usize, 8] {
-        let lat = run_parallel(&rates, |_, &rate| {
+        let lat = fleet().map(rates.to_vec(), move |_, &rate| {
             let mut cfg = MeshConfig::paper_comparable();
             cfg.input_buffer = buffer;
             let s = mesh_point(cfg, rate, plan);
@@ -58,7 +57,7 @@ fn main() {
     }
     // Optical ring rows: token slot (credit) and DHS w/ setaside (handshake).
     for scheme in [Scheme::TokenSlot, Scheme::Dhs { setaside: 8 }] {
-        let lat = run_parallel(&rates, |_, &rate| {
+        let lat = fleet().map(rates.to_vec(), move |_, &rate| {
             let cfg = NetworkConfig::paper_default(scheme);
             let s = run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, plan);
             if s.saturated {

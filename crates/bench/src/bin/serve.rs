@@ -11,27 +11,26 @@
 //!   resume, with `ckpt`) a sweep. Emits `{"id":"r1","cell":{…}}` as each
 //!   (scheme, pattern, rate) cell completes, then a final
 //!   `{"id":"r1","done":true,…}` line.
-//! * `{"set": {"ckpt_every": 16, "verbose": true}}` — hot-swap the
-//!   operational knobs. Published through an epoch-stamped snapshot
-//!   ([`pnoc_fleet::EpochSnapshot`]): readers (including the per-cell
-//!   callback of a sweep already in flight) revalidate with one atomic load
-//!   and only clone the new config when the epoch moved. Only operational
-//!   knobs are swappable — anything affecting results is pinned inside the
-//!   sweep's spec so a request's output never depends on when a `set`
-//!   arrived relative to its jobs.
+//! * `{"set": {"ckpt_every": 16, "verbose": true}}` — retune the
+//!   operational knobs. Requests are handled one at a time, so a `set`
+//!   takes effect from the next request on; the reply's `epoch` counts the
+//!   `set`s applied so far. Every key must be a known knob of the right
+//!   type, or the whole `set` is rejected with an error line. Only
+//!   operational knobs are settable — anything affecting results is pinned
+//!   inside the sweep's spec.
 //! * `{"shutdown": true}` — drain and exit (EOF does the same).
 //!
 //! Malformed lines produce an `{"error": …}` line; the service keeps going.
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use pnoc_fleet::{run_sweep, EpochSnapshot, Fleet, SnapshotReader, SweepOptions, SweepSpec};
+use pnoc_fleet::{run_sweep, Fleet, SweepOptions, SweepSpec};
 use serde_json::Value;
 
-/// Hot-swappable operational knobs (never result-affecting).
-#[derive(Debug, Clone, Copy)]
+/// Operational knobs a `set` request retunes (never result-affecting).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Knobs {
     /// Checkpoint cadence for sweeps that request a journal.
     ckpt_every: u64,
@@ -74,7 +73,9 @@ fn main() {
         std::process::exit(1);
     }
     let fleet = Fleet::with_default_threads();
-    let knobs = Arc::new(EpochSnapshot::new(Knobs::default()));
+    let mut knobs = Knobs::default();
+    // Number of `set` requests applied so far.
+    let mut epoch = 0u64;
     eprintln!(
         "serve: ready on {} worker(s); one JSON request per line",
         fleet.threads()
@@ -105,36 +106,53 @@ fn main() {
             return;
         }
         if let Some(settings) = field(&request, "set") {
-            apply_set(&knobs, settings);
+            match merge_set(knobs, settings) {
+                Ok(next) => {
+                    knobs = next;
+                    epoch += 1;
+                    emit(&format!(
+                        "{{\"ok\":true,\"epoch\":{epoch},\"ckpt_every\":{},\"verbose\":{}}}",
+                        knobs.ckpt_every, knobs.verbose
+                    ));
+                }
+                Err(e) => emit_error("set", &e),
+            }
             continue;
         }
         if field(&request, "sweep").is_some() {
-            handle_sweep(&fleet, &knobs, &request);
+            handle_sweep(&fleet, knobs, &request);
             continue;
         }
         emit_error("request", "expected one of: sweep, set, shutdown");
     }
 }
 
-/// Merge a `set` request into the current knobs and publish a new epoch.
-fn apply_set(knobs: &Arc<EpochSnapshot<Knobs>>, settings: &Value) {
-    let mut next = *knobs.load();
-    if let Some(Value::U64(n)) = field(settings, "ckpt_every") {
-        next.ckpt_every = *n;
+/// Merge a `set` request body into `knobs`. The body must be an object
+/// whose keys are all known knobs holding values of the right type;
+/// otherwise nothing is applied and the error names the offending key.
+fn merge_set(mut knobs: Knobs, settings: &Value) -> Result<Knobs, String> {
+    let Value::Map(entries) = settings else {
+        return Err("expected an object of knobs (ckpt_every, verbose)".into());
+    };
+    // Applied last to first, so a repeated key resolves to its first
+    // occurrence, as `field` lookups do.
+    for (key, value) in entries.iter().rev() {
+        match (key.as_str(), value) {
+            ("ckpt_every", Value::U64(n)) => knobs.ckpt_every = *n,
+            ("ckpt_every", _) => return Err("ckpt_every must be a non-negative integer".into()),
+            ("verbose", Value::Bool(b)) => knobs.verbose = *b,
+            ("verbose", _) => return Err("verbose must be a boolean".into()),
+            (other, _) => {
+                return Err(format!(
+                    "unknown knob {other:?} (expected ckpt_every, verbose)"
+                ))
+            }
+        }
     }
-    if let Some(Value::Bool(b)) = field(settings, "verbose") {
-        next.verbose = *b;
-    }
-    knobs.publish(next);
-    emit(&format!(
-        "{{\"ok\":true,\"epoch\":{},\"ckpt_every\":{},\"verbose\":{}}}",
-        knobs.epoch(),
-        next.ckpt_every,
-        next.verbose
-    ));
+    Ok(knobs)
 }
 
-fn handle_sweep(fleet: &Fleet, knobs: &Arc<EpochSnapshot<Knobs>>, request: &Value) {
+fn handle_sweep(fleet: &Fleet, knobs: Knobs, request: &Value) {
     let id = match field(request, "id") {
         Some(Value::Str(s)) => s.clone(),
         _ => "anonymous".to_string(),
@@ -163,19 +181,17 @@ fn handle_sweep(fleet: &Fleet, knobs: &Arc<EpochSnapshot<Knobs>>, request: &Valu
         None => None,
     };
 
-    // The result-affecting inputs are pinned here; the streaming callback
-    // consults the snapshot only for verbosity (operational).
-    let reader = Mutex::new(SnapshotReader::new(knobs));
-    let knobs_cb = knobs.clone();
+    // The result-affecting inputs are pinned in the spec; the knobs only
+    // set the checkpoint cadence and the stderr echo.
+    let verbose = knobs.verbose;
     let cell_id = id_json.clone();
     let opts = SweepOptions {
         checkpoint,
-        ckpt_every: knobs.load().ckpt_every,
+        ckpt_every: knobs.ckpt_every,
         on_cell: Some(Arc::new(move |cell| {
             let body = serde_json::to_string(cell).expect("cell serializes");
             emit(&format!("{{\"id\":{cell_id},\"cell\":{body}}}"));
-            let mut r = reader.lock().expect("knobs reader");
-            if r.get(&knobs_cb).verbose {
+            if verbose {
                 eprintln!(
                     "serve[{cell_id}]: cell {} {} @ {:.3} done",
                     cell.scheme, cell.pattern, cell.rate
@@ -194,5 +210,69 @@ fn handle_sweep(fleet: &Fleet, knobs: &Arc<EpochSnapshot<Knobs>>, request: &Valu
             outcome.executed_jobs
         )),
         Err(e) => emit_error(&format!("sweep {id}"), &e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn set(body: &str) -> Result<Knobs, String> {
+        let request: Value = serde_json::from_str(body).expect("test JSON parses");
+        merge_set(Knobs::default(), field(&request, "set").expect("set key"))
+    }
+
+    #[test]
+    fn valid_set_merges_known_knobs() {
+        let knobs = set(r#"{"set":{"ckpt_every":4}}"#).expect("valid");
+        assert_eq!(
+            knobs,
+            Knobs {
+                ckpt_every: 4,
+                verbose: false
+            }
+        );
+        let knobs = set(r#"{"set":{"verbose":true,"ckpt_every":0}}"#).expect("valid");
+        assert_eq!(
+            knobs,
+            Knobs {
+                ckpt_every: 0,
+                verbose: true
+            }
+        );
+        assert_eq!(set(r#"{"set":{}}"#), Ok(Knobs::default()));
+        // A repeated key resolves to its first occurrence.
+        assert_eq!(
+            set(r#"{"set":{"ckpt_every":4,"ckpt_every":8}}"#).map(|k| k.ckpt_every),
+            Ok(4)
+        );
+    }
+
+    #[test]
+    fn unknown_knob_is_rejected() {
+        let err = set(r#"{"set":{"ckpt_evry":4}}"#).expect_err("typo'd key");
+        assert!(err.contains("ckpt_evry"), "{err}");
+        // A valid knob next to an unknown one is not applied either.
+        assert!(set(r#"{"set":{"ckpt_every":4,"bogus":1}}"#).is_err());
+    }
+
+    #[test]
+    fn wrongly_typed_knob_is_rejected() {
+        for body in [
+            r#"{"set":{"ckpt_every":-1}}"#,
+            r#"{"set":{"ckpt_every":"4"}}"#,
+            r#"{"set":{"ckpt_every":4.5}}"#,
+            r#"{"set":{"verbose":1}}"#,
+            r#"{"set":{"verbose":"true"}}"#,
+        ] {
+            assert!(set(body).is_err(), "{body} must be rejected");
+        }
+    }
+
+    #[test]
+    fn non_object_body_is_rejected() {
+        for body in [r#"{"set":5}"#, r#"{"set":[1]}"#, r#"{"set":null}"#] {
+            assert!(set(body).is_err(), "{body} must be rejected");
+        }
     }
 }

@@ -7,10 +7,9 @@
 //! force `N−1`-slot receiver buffers *and* HOL-block each source's single
 //! output queue once any destination's credit is exhausted.
 
-use pnoc_bench::{Fidelity, Table};
+use pnoc_bench::{fleet, Fidelity, Table};
 use pnoc_noc::swmr::{SwmrConfig, SwmrNetwork};
 use pnoc_noc::SyntheticSource;
-use pnoc_sim::run_parallel;
 use pnoc_traffic::pattern::TrafficPattern;
 
 fn run_point(cfg: SwmrConfig, rate: f64, plan: pnoc_sim::RunPlan) -> pnoc_noc::metrics::RunSummary {
@@ -46,10 +45,11 @@ fn main() {
             c
         }),
     ];
-    let jobs: Vec<(usize, f64)> = (0..variants.len())
-        .flat_map(|v| rates.iter().map(move |&r| (v, r)))
+    let jobs: Vec<(SwmrConfig, f64)> = variants
+        .iter()
+        .flat_map(|&(_, cfg)| rates.iter().map(move |&r| (cfg, r)))
         .collect();
-    let results = run_parallel(&jobs, |_, &(v, rate)| run_point(variants[v].1, rate, plan));
+    let results = fleet().map(jobs, move |_, &(cfg, rate)| run_point(cfg, rate, plan));
     for (v, (label, _)) in variants.iter().enumerate() {
         let lat: Vec<f64> = (0..rates.len())
             .map(|ri| {

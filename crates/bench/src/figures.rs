@@ -13,7 +13,7 @@ use pnoc_sim::RunPlan;
 use pnoc_traffic::classes::TenantMixKind;
 use std::sync::Arc;
 
-use crate::fleet_map;
+use crate::fleet;
 use pnoc_traffic::apps::all_paper_apps;
 use pnoc_traffic::pattern::TrafficPattern;
 use serde::Serialize;
@@ -108,7 +108,7 @@ pub fn latency_curves(
         .enumerate()
         .flat_map(|(i, &(_, s))| rates.iter().map(move |&r| (i, s, r)))
         .collect();
-    let summaries = fleet_map(jobs, move |_, &(_, scheme, rate)| {
+    let summaries = fleet().map(jobs, move |_, &(_, scheme, rate)| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         configure(&mut cfg);
         run_synthetic_point(cfg, pattern, rate, plan)
@@ -143,7 +143,7 @@ pub fn fig2b(fid: Fidelity) -> Vec<Curve> {
         .iter()
         .flat_map(|&c| rates.iter().map(move |&r| (c, r)))
         .collect();
-    let summaries = fleet_map(jobs, move |_, &(c, rate)| {
+    let summaries = fleet().map(jobs, move |_, &(c, rate)| {
         let mut cfg = NetworkConfig::paper_default(Scheme::TokenSlot);
         cfg.input_buffer = c;
         run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan())
@@ -296,7 +296,7 @@ pub fn fairness_vs_load(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
             })
         })
         .collect();
-    let summaries = fleet_map(jobs, move |_, &(mix, scheme, qos, rate)| {
+    let summaries = fleet().map(jobs, move |_, &(mix, scheme, qos, rate)| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         if qos {
             cfg.admission = fairness_admission();
@@ -354,7 +354,7 @@ pub fn fig10(fid: Fidelity) -> (Vec<TraceResult>, Vec<TraceResult>) {
     let dims = NetworkConfig::paper_default(Scheme::TokenSlot);
     // Synthesize each trace once, in parallel; traces are shared with the
     // fleet workers through an `Arc` (workers are persistent threads).
-    let traces: Arc<Vec<_>> = Arc::new(fleet_map(apps, move |_, app| {
+    let traces: Arc<Vec<_>> = Arc::new(fleet().map(apps, move |_, app| {
         app.synthesize(dims.cores(), dims.nodes, length, 0x00F1_6010)
     }));
     let groups: [Vec<(String, Scheme)>; 2] = [global_group(), distributed_group()];
@@ -365,7 +365,7 @@ pub fn fig10(fid: Fidelity) -> (Vec<TraceResult>, Vec<TraceResult>) {
             .collect();
         let plan = RunPlan::new(warmup, length - warmup, 2_000);
         let shared = traces.clone();
-        let lat = fleet_map(jobs, move |_, &(t, scheme)| {
+        let lat = fleet().map(jobs, move |_, &(t, scheme)| {
             let cfg = NetworkConfig::paper_default(scheme);
             let mut net = Network::new(cfg).expect("valid config");
             let mut src = TraceSource::new(&shared[t], cfg.cores_per_node);
@@ -448,7 +448,7 @@ pub fn fig11_credits(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
                 .iter()
                 .flat_map(|&c| rates.iter().map(move |&r| (c, r)))
                 .collect();
-            let summaries = fleet_map(jobs, move |_, &(c, rate)| {
+            let summaries = fleet().map(jobs, move |_, &(c, rate)| {
                 let mut cfg = NetworkConfig::paper_default(scheme);
                 cfg.input_buffer = c;
                 run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan())
@@ -487,7 +487,7 @@ pub fn fig11_setaside(fid: Fidelity) -> Vec<(String, Vec<(usize, f64)>)> {
         ),
         ("DHS", Box::new(|s: usize| Scheme::Dhs { setaside: s })),
     ] {
-        let points = fleet_map(sizes.to_vec(), move |_, &s| {
+        let points = fleet().map(sizes.to_vec(), move |_, &s| {
             let cfg = NetworkConfig::paper_default(make(s));
             let summary = run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan());
             if summary.saturated {
@@ -526,7 +526,7 @@ pub fn fig12(fid: Fidelity) -> Vec<PowerRow> {
     let plan = fid.plan();
     // 0.05 pkt/cycle/core is sustainable by every scheme (Fig. 8/9).
     let rate = 0.05;
-    let rows = fleet_map(schemes, move |_, &scheme| {
+    let rows = fleet().map(schemes, move |_, &scheme| {
         let cfg = NetworkConfig::paper_default(scheme);
         let mut net = Network::new(cfg).expect("valid config");
         let mut src = pnoc_noc::SyntheticSource::new(
@@ -594,7 +594,7 @@ pub fn resilience_curves(
         .enumerate()
         .flat_map(|(i, &(_, s))| fault_rates.iter().map(move |&f| (i, s, f)))
         .collect();
-    let summaries = fleet_map(jobs, move |_, &(_, scheme, fault_rate)| {
+    let summaries = fleet().map(jobs, move |_, &(_, scheme, fault_rate)| {
         let cfg = base(scheme).with_faults(pnoc_noc::FaultConfig::uniform(fault_rate));
         run_synthetic_point(cfg, TrafficPattern::UniformRandom, load, plan)
     });
@@ -694,7 +694,7 @@ pub fn ipc(fid: Fidelity) -> Vec<IpcRow> {
         .collect();
     let scheme_vals: Vec<Scheme> = schemes.iter().map(|(_, s)| *s).collect();
     let shared = workloads.clone();
-    let results = fleet_map(jobs, move |_, &(w, s)| {
+    let results = fleet().map(jobs, move |_, &(w, s)| {
         let mut net_cfg = NetworkConfig::paper_default(scheme_vals[s]);
         net_cfg.cores_per_node = 2; // 128 cores, as in the paper's CMP
         let mut sys = CmpSystem::new(net_cfg, CmpConfig::paper_default(), shared[w].clone());

@@ -57,18 +57,6 @@ pub fn fleet() -> &'static Fleet {
     FLEET.get_or_init(Fleet::with_default_threads)
 }
 
-/// Map `inputs` through the shared [`fleet`], preserving input order — the
-/// drop-in harness replacement for `pnoc_sim::run_parallel`, scheduled by
-/// work stealing instead of a shared job counter.
-pub fn fleet_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send + Sync + 'static,
-    O: Send + 'static,
-    F: Fn(usize, &I) -> O + Send + Sync + 'static,
-{
-    fleet().map(inputs, f)
-}
-
 /// Parse a `--threads N` flag from the process args and install it as the
 /// global thread override (see [`pnoc_sim::sweep::set_thread_override`]).
 /// Returns an error string for a malformed or missing value.

@@ -272,11 +272,11 @@ impl Fleet {
         }
     }
 
-    /// Convenience fork/join: run `f` over every input on the fleet,
-    /// returning outputs in input order. The fleet analogue of
-    /// [`pnoc_sim::run_parallel`], for harnesses whose inputs are already
-    /// materialized. Inputs are moved into the batch (workers are
-    /// persistent threads, so borrows cannot cross into them).
+    /// Fork/join: run `f` over every input on the fleet, returning outputs
+    /// in input order. Every harness whose inputs are already materialized
+    /// fans out through this. Inputs are moved into the batch (workers are
+    /// persistent threads, so borrows cannot cross into them); a panicking
+    /// job re-panics here, as in [`BatchHandle::wait`].
     pub fn map<I, O, F>(&self, inputs: Vec<I>, f: F) -> Vec<O>
     where
         I: Send + Sync + 'static,
@@ -628,6 +628,22 @@ mod tests {
         // The fleet survives a poisoned batch.
         let out = fleet.map(vec![1u64, 2], |_, &x| x);
         assert_eq!(out, vec![1, 2]);
+
+        // The same through `map`, on a 1-worker and a 4-worker fleet.
+        for threads in [1, 4] {
+            let fleet = Fleet::new(threads);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                fleet.map((0..64u32).collect(), |_, &x| {
+                    assert!(x != 17, "sweep point {x} exploded");
+                    x * 2
+                })
+            }));
+            let err = result.expect_err("map must propagate a job's panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("sweep point 17 exploded"), "{threads}: {msg}");
+            let out = fleet.map(vec![10u32, 20], |_, &x| x + 1);
+            assert_eq!(out, vec![11, 21], "{threads}-worker fleet after a panic");
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! * [`MergeSummary`] — streaming per-cell aggregation with **exactly
 //!   commutative** folds, so results are independent of completion order,
 //! * [`checkpoint`] — an append-only `fleet.ckpt` journal; a killed sweep
-//!   resumes without recomputation and produces a byte-identical report,
-//! * [`snapshot`] — epoch-style read-mostly parameter snapshots for the
-//!   `serve` mode's hot-swappable operational knobs.
+//!   resumes without recomputation and produces a byte-identical report.
+//!
+//! [`Fleet::map`] (input-order fork/join over materialized inputs) and
+//! [`Fleet::submit`] (index-range batches) are the only ways the workspace
+//! fans work out across threads.
 //!
 //! See DESIGN.md §13 for the architecture and the determinism argument, and
 //! EXPERIMENTS.md ("Fleet sweeps") for the operational walkthrough.
@@ -49,7 +51,6 @@ pub mod executor;
 pub mod model;
 pub mod replay;
 pub mod runner;
-pub mod snapshot;
 pub mod spec;
 pub mod sync;
 
@@ -58,7 +59,6 @@ pub use checkpoint::{spec_fingerprint, Journal, SweepState};
 pub use executor::{suite_threads, BatchHandle, Fleet};
 pub use replay::{run_replay, ReplayPoint, ReplayReport, ReplaySpec};
 pub use runner::{run_sweep, SweepOptions, SweepOutcome, SweepReport, KILL_EXIT_CODE};
-pub use snapshot::{EpochSnapshot, SnapshotReader};
 pub use spec::{SweepBase, SweepSpec};
 
 #[cfg(doc)]

@@ -4,8 +4,8 @@
 //!
 //! Compiled only under the `model-sync` feature. In that configuration the
 //! [`crate::sync`] facade resolves to the modeled primitives in
-//! [`sync`]/[`thread`] here, so `executor.rs` and `snapshot.rs` — the real
-//! shipping code, not transcriptions of it — run under the checker.
+//! [`sync`]/[`thread`] here, so `executor.rs` — the real shipping code, not
+//! a transcription of it — runs under the checker.
 //!
 //! [`check`] runs a closure repeatedly, enumerating schedules by DFS over
 //! recorded choice points:

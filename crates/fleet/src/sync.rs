@@ -5,9 +5,9 @@
 //! pnoc-verify `no-raw-std-sync-in-fleet` lint enforces it. In normal
 //! builds the facade is a zero-cost re-export of `std`. Under the
 //! `model-sync` feature it resolves to [`crate::model`]'s deterministic
-//! model-checking replacements instead, so the *shipping* executor and
-//! snapshot code — not a transcription of it — runs under bounded
-//! exhaustive interleaving exploration (see DESIGN.md §14).
+//! model-checking replacements instead, so the *shipping* executor code —
+//! not a transcription of it — runs under bounded exhaustive interleaving
+//! exploration (see DESIGN.md §14).
 //!
 //! `Arc` is re-exported from `std` in both configurations: the model
 //! checker serializes threads, so reference-count races cannot occur and

@@ -22,7 +22,6 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use pnoc_fleet::Fleet;
-use pnoc_sim::sweep::run_parallel_fixed;
 
 /// Deterministic CPU-bound spin: `iters` SplitMix64 steps. The result is
 /// black-boxed so the loop cannot be optimized away.
@@ -35,7 +34,32 @@ fn spin(iters: u64) -> u64 {
     black_box(acc)
 }
 
-/// Makespan of the static partition `run_parallel_fixed` uses: the heaviest
+/// The comparator: a *static* contiguous-chunk fork/join. Worker `t` of
+/// `threads` runs the slice `[t*ceil(n/threads), ...)` with **no**
+/// rebalancing, so if one chunk holds the expensive jobs (the
+/// near-saturation rates of a sweep sit next to each other in input order)
+/// every other worker finishes early and idles. Outputs come back in input
+/// order.
+fn run_fixed_chunks<I: Sync, O: Send>(
+    inputs: &[I],
+    threads: usize,
+    f: impl Fn(&I) -> O + Sync,
+) -> Vec<O> {
+    let chunk = inputs.len().div_ceil(threads.max(1)).max(1);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = inputs
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<O>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("fixed-chunk worker panicked"))
+            .collect()
+    })
+}
+
+/// Makespan of the static partition `run_fixed_chunks` uses: the heaviest
 /// contiguous chunk of `ceil(n / threads)` jobs. Exact by construction —
 /// each worker runs exactly one such chunk.
 fn fixed_makespan(costs: &[u64], threads: usize) -> u64 {
@@ -88,7 +112,7 @@ fn assert_skew_win(costs: Vec<u64>, threads: usize, what: &str) {
     let fixed_units = fixed_makespan(&costs, threads);
 
     let start = Instant::now();
-    let out = run_parallel_fixed(&costs, threads, |_, &iters| spin(iters));
+    let out = run_fixed_chunks(&costs, threads, |&iters| spin(iters));
     let fixed_wall = start.elapsed();
     assert_eq!(out.len(), costs.len());
 
@@ -159,7 +183,7 @@ fn fleet_beats_fixed_chunks_on_one_pathological_job() {
 #[test]
 fn zero_jobs_is_a_no_op_everywhere() {
     let empty: Vec<u64> = Vec::new();
-    let out = run_parallel_fixed(&empty, 4, |_, &x| x);
+    let out = run_fixed_chunks(&empty, 4, |&x| x);
     assert!(out.is_empty());
     assert_eq!(fixed_makespan(&empty, 4), 0);
 
@@ -189,6 +213,6 @@ fn far_fewer_jobs_than_threads_completes_exactly() {
     let outputs = fleet.map(vec![7u64, 8, 9], |idx, &x| (idx as u64) * 100 + x);
     assert_eq!(outputs, vec![7, 108, 209]);
 
-    let fixed = run_parallel_fixed(&[1u64, 2, 3], 8, |_, &x| x * 2);
+    let fixed = run_fixed_chunks(&[1u64, 2, 3], 8, |&x| x * 2);
     assert_eq!(fixed, vec![2, 4, 6]);
 }

@@ -8,8 +8,8 @@
 //!   so that every experiment is reproducible from a seed,
 //! * [`stats`] — streaming statistics (Welford mean/variance, histograms with
 //!   percentiles, rate meters, Jain fairness index),
-//! * [`sweep`] — a parallel parameter-sweep runner built on std scoped
-//!   threads (each sweep point is an independent simulation),
+//! * [`sweep`] — the worker-thread policy the `pnoc-fleet` executor sizes
+//!   parallel sweeps by (each sweep point is an independent simulation),
 //! * [`plan::RunPlan`] — the warmup/measure/drain phase protocol used by all
 //!   latency-vs-load experiments.
 //!
@@ -36,4 +36,3 @@ pub use plan::{Phase, RunPlan};
 pub use rangeset::{IndexRange, RangeSet};
 pub use rng::SimRng;
 pub use stats::{exact_quantile, Histogram, RateMeter, Running};
-pub use sweep::run_parallel;

@@ -1,28 +1,15 @@
-//! Parallel parameter sweeps.
+//! Worker-thread policy for parallel parameter sweeps.
 //!
 //! A figure in the paper is a sweep over injection rates (and schemes, and
 //! traffic patterns); each sweep point is an independent simulation, so the
-//! harness fans them out across cores. Results come back in input order
-//! regardless of completion order.
-//!
-//! Two primitives live here:
-//!
-//! * [`run_parallel`] — a scoped fork/join with a shared atomic job counter
-//!   (each worker grabs the next unclaimed index). This is the original
-//!   harness entry point, kept as a thin compatibility layer; new bulk work
-//!   should go through the `pnoc-fleet` work-stealing executor, which adds
-//!   persistent workers, checkpointing, and streaming aggregation.
-//! * [`run_parallel_fixed`] — a *static* contiguous-chunk partition with no
-//!   rebalancing. It exists as the baseline comparator for scheduling
-//!   experiments and the fleet skew tests; do not use it for real sweeps,
-//!   where per-point cost varies wildly with injection rate.
-//!
-//! Thread-count policy for every harness lives in [`worker_count`]; see its
-//! docs for the override / environment / cgroup fallback order.
+//! harnesses fan them out across cores on the `pnoc-fleet` work-stealing
+//! executor. This module holds only the thread-count policy that executor
+//! is sized by: [`default_threads`] resolves the `--threads` override, the
+//! `PNOC_THREADS` environment variable, and cgroup-capped hardware
+//! parallelism, in that order.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Process-wide worker-thread override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -31,8 +18,8 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 ///
 /// Bench bins call this when handed `--threads N`; it takes precedence over
 /// the `PNOC_THREADS` environment variable and hardware detection in every
-/// subsequent [`worker_count`] query, including the fleet executor's default
-/// pool size.
+/// subsequent [`default_threads`] query, including the fleet executor's
+/// default pool size.
 pub fn set_thread_override(threads: usize) {
     THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
 }
@@ -87,7 +74,7 @@ fn cgroup_cpu_quota() -> Option<usize> {
     parse_cgroup_v1_cpu_quota(&quota, &period)
 }
 
-/// Baseline thread count before capping by the number of jobs.
+/// Number of worker threads a sweep runs on.
 ///
 /// Resolution order (first match wins):
 ///
@@ -117,206 +104,9 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// Number of worker threads to use for `jobs` independent jobs: the
-/// [`default_threads`] policy value, capped by the number of jobs (and at
-/// least 1).
-pub fn worker_count(jobs: usize) -> usize {
-    default_threads().min(jobs).max(1)
-}
-
-/// Run `f` over every input in parallel, returning outputs in input order.
-///
-/// `f` must be `Sync` (it is shared by worker threads) and is handed
-/// `(index, &input)`. Panics in workers propagate after the scope joins.
-/// Jobs are claimed one at a time from a shared counter, so moderate
-/// per-job cost imbalance self-corrects; for persistent pools, huge index
-/// ranges, or checkpointable sweeps use `pnoc-fleet` instead.
-///
-/// ```
-/// let squares = pnoc_sim::run_parallel(&[1u64, 2, 3, 4], |_, &x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn run_parallel<I, O, F>(inputs: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    run_parallel_with_threads(inputs, worker_count(inputs.len()), f)
-}
-
-/// [`run_parallel`] with an explicit worker-thread count (useful in tests and
-/// when the caller wants to leave cores free for other work).
-pub fn run_parallel_with_threads<I, O, F>(inputs: &[I], threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, inputs.len());
-    if threads == 1 {
-        return inputs.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = (0..inputs.len()).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let next = &next;
-    let slots_ref = &slots;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= inputs.len() {
-                    break;
-                }
-                let out = f(i, &inputs[i]);
-                *slots_ref[i].lock().expect("sweep slot poisoned") = Some(out);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("worker skipped a sweep point")
-        })
-        .collect()
-}
-
-/// Static fixed-chunk fork/join: worker `t` of `threads` runs the contiguous
-/// slice `[t*ceil(n/threads), ...)` with **no** rebalancing.
-///
-/// This is the naive partition every scheduling comparison measures against:
-/// if one chunk holds the expensive jobs (e.g. the near-saturation rates of
-/// a sweep, which sit next to each other in input order), every other worker
-/// finishes early and idles. Kept for baselines and tests — real harness
-/// code should use [`run_parallel`] or the `pnoc-fleet` executor.
-pub fn run_parallel_fixed<I, O, F>(inputs: &[I], threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, inputs.len());
-    if threads == 1 {
-        return inputs.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-
-    let chunk = inputs.len().div_ceil(threads);
-    let slots: Vec<Mutex<Option<O>>> = (0..inputs.len()).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let slots_ref = &slots;
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            scope.spawn(move || {
-                let lo = t * chunk;
-                let hi = (lo + chunk).min(inputs.len());
-                for i in lo..hi {
-                    let out = f(i, &inputs[i]);
-                    *slots_ref[i].lock().expect("sweep slot poisoned") = Some(out);
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("worker skipped a sweep point")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u32> = run_parallel(&[] as &[u32], |_, &x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn preserves_order() {
-        let inputs: Vec<u64> = (0..257).collect();
-        let out = run_parallel(&inputs, |_, &x| x * 2);
-        assert_eq!(out, inputs.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn index_matches_input() {
-        let inputs: Vec<u64> = (100..164).collect();
-        let out = run_parallel(&inputs, |i, &x| (i as u64, x));
-        for (i, (idx, x)) in out.iter().enumerate() {
-            assert_eq!(*idx, i as u64);
-            assert_eq!(*x, inputs[i]);
-        }
-    }
-
-    #[test]
-    fn every_job_runs_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let inputs: Vec<u32> = (0..500).collect();
-        let out = run_parallel_with_threads(&inputs, 8, |_, &x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(out.len(), 500);
-        assert_eq!(calls.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
-    fn single_thread_path() {
-        let inputs = [5u8, 6, 7];
-        let out = run_parallel_with_threads(&inputs, 1, |_, &x| x + 1);
-        assert_eq!(out, vec![6, 7, 8]);
-    }
-
-    #[test]
-    fn worker_count_bounds() {
-        assert_eq!(worker_count(0), 1);
-        assert!(worker_count(1) == 1);
-        assert!(worker_count(1000) >= 1);
-    }
-
-    #[test]
-    fn fixed_chunk_matches_dynamic_output() {
-        let inputs: Vec<u64> = (0..301).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let out = run_parallel_fixed(&inputs, threads, |i, &x| (i as u64) * 1000 + x);
-            assert_eq!(out.len(), inputs.len());
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, (i as u64) * 1000 + i as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_chunk_runs_every_job_once() {
-        let calls = AtomicUsize::new(0);
-        let inputs: Vec<u32> = (0..97).collect();
-        let out = run_parallel_fixed(&inputs, 5, |_, &x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(out.len(), 97);
-        assert_eq!(calls.load(Ordering::Relaxed), 97);
-    }
 
     #[test]
     fn thread_override_takes_precedence() {
@@ -325,8 +115,6 @@ mod tests {
         set_thread_override(3);
         assert_eq!(thread_override(), Some(3));
         assert_eq!(default_threads(), 3);
-        assert_eq!(worker_count(100), 3);
-        assert_eq!(worker_count(2), 2, "job cap still applies");
         set_thread_override(0);
         assert_eq!(thread_override(), None);
     }

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example scheme_showdown [--pattern BC]`
 
 use nanophotonic_handshake::prelude::*;
-use nanophotonic_handshake::sim::run_parallel;
+use pnoc_fleet::Fleet;
 
 fn main() {
     let pattern = match std::env::args().position(|a| a == "--pattern") {
@@ -36,7 +36,7 @@ fn main() {
         .iter()
         .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
         .collect();
-    let results = run_parallel(&jobs, |_, &(scheme, rate)| {
+    let results = Fleet::with_default_threads().map(jobs, move |_, &(scheme, rate)| {
         let cfg = NetworkConfig::paper_default(scheme);
         run_synthetic_point(cfg, pattern, rate, plan)
     });

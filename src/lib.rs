@@ -31,7 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Simulation kernel: clock, deterministic RNG, statistics, parallel sweeps.
+/// Simulation kernel: clock, deterministic RNG, statistics, sweep thread policy.
 pub use pnoc_sim as sim;
 
 /// Photonic substrate: wavelengths, waveguides, rings, losses, budgets.

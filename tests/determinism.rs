@@ -4,13 +4,13 @@
 //! *byte-identical* serialized summaries — not merely equal headline
 //! numbers — for every scheme, fault-free and under fault injection, and
 //! regardless of whether the run is dispatched sequentially or through
-//! pnoc-sim's work-stealing parallel sweep. This is the property the
+//! pnoc-fleet's work-stealing executor. This is the property the
 //! pnoc-verify lints exist to protect (no unordered iteration, no wall
 //! clock, no ambient randomness), pinned end-to-end.
 
 use nanophotonic_handshake::noc::metrics::RunSummary;
 use nanophotonic_handshake::prelude::*;
-use nanophotonic_handshake::sim::run_parallel;
+use pnoc_fleet::Fleet;
 
 fn point(scheme: Scheme, faulty: bool) -> RunSummary {
     let mut cfg = NetworkConfig::small(scheme);
@@ -80,9 +80,9 @@ fn swmr_and_emesh_replays_are_byte_identical() {
 
 #[test]
 fn parallel_sweep_path_matches_sequential_runs() {
-    // The same points dispatched through the parallel sweep machinery
-    // (thread scheduling, work stealing) must not perturb a single bit of
-    // any summary.
+    // The same points dispatched through `Fleet::map`, the fan-out every
+    // harness uses (thread scheduling, work stealing), must not perturb a
+    // single bit of any summary.
     let inputs: Vec<(Scheme, bool)> = Scheme::paper_set(4)
         .into_iter()
         .flat_map(|s| [(s, false), (s, true)])
@@ -91,7 +91,7 @@ fn parallel_sweep_path_matches_sequential_runs() {
         .iter()
         .map(|&(s, faulty)| bytes(&point(s, faulty)))
         .collect();
-    let parallel = run_parallel(&inputs, |_, &(s, faulty)| bytes(&point(s, faulty)));
+    let parallel = Fleet::new(4).map(inputs, |_, &(s, faulty)| bytes(&point(s, faulty)));
     assert_eq!(
         sequential, parallel,
         "parallel sweep dispatch changed simulation results"
