@@ -99,7 +99,10 @@ echo "== pnoc-fleet checkpoint/resume smoke (kill mid-flight, byte-identical) ==
 # journal must produce a report byte-identical to the uninterrupted run.
 # The demo spec is 24 jobs; --kill-after 9 dies with 15 still outstanding,
 # so the resume genuinely recomputes work rather than replaying a
-# fully-complete journal.
+# fully-complete journal. Before the resume, half a snapshot line is
+# appended to the journal, as a kill in the middle of a write would leave
+# it: the tail-first reader must skip it and fall back to the last whole
+# snapshot.
 FLEET_DIR=target/fleet-smoke
 rm -rf "$FLEET_DIR" && mkdir -p "$FLEET_DIR"
 cargo run --release -q -p pnoc-bench --offline --bin fleet -- \
@@ -116,22 +119,27 @@ if [ -e "$FLEET_DIR/never.json" ]; then
   echo "fleet smoke: killed run must not write its output file" >&2
   exit 1
 fi
+printf '{"seq":99,"completed":{"ranges":[{"lo":0,' >> "$FLEET_DIR/sweep.ckpt"
 cargo run --release -q -p pnoc-bench --offline --bin fleet -- \
   --ckpt "$FLEET_DIR/sweep.ckpt" --ckpt-every 4 \
   --out "$FLEET_DIR/resumed.json"
 cmp "$FLEET_DIR/ref.json" "$FLEET_DIR/resumed.json"
-echo "fleet smoke: interrupted+resumed report is byte-identical"
+echo "fleet smoke: interrupted+resumed report (torn tail skipped) is byte-identical"
 
 echo "== pnoc-bench serve smoke (NDJSON protocol) =="
 # One scripted session: set ckpt_every (the reply echoes the applied knobs
 # and epoch 1), run a small sweep (streams one cell line per aggregation
-# cell, then a done line), reject a mistyped set and a malformed line with
-# one error line each, shut down cleanly.
+# cell, then a done line), reject a mistyped set, a malformed line and a
+# line nested 100k arrays deep (past the JSON parser's depth limit, so an
+# error rather than a stack overflow) with one error line each, shut down
+# cleanly.
+NESTED=$(head -c 100000 /dev/zero | tr '\0' '[')
 printf '%s\n' \
   '{"set":{"ckpt_every":4}}' \
   '{"id":"ci","sweep":{"base":"Small","schemes":["TokenSlot"],"patterns":["UniformRandom"],"rates":[0.05,0.1],"replicas":2,"master_seed":7,"warmup":50,"measure":200,"drain":50}}' \
   '{"set":{"ckpt_every":"4"}}' \
   'this is not json' \
+  "$NESTED" \
   '{"shutdown":true}' \
   | cargo run --release -q -p pnoc-bench --offline --bin serve \
   > "$FLEET_DIR/serve.ndjson"
@@ -139,8 +147,8 @@ grep -q '"ok":true,"epoch":1,"ckpt_every":4' "$FLEET_DIR/serve.ndjson"
 grep -q '"done":true' "$FLEET_DIR/serve.ndjson"
 grep -q '"complete":true' "$FLEET_DIR/serve.ndjson"
 errors=$(grep -c '"error":' "$FLEET_DIR/serve.ndjson" || true)
-if [ "$errors" -ne 2 ]; then
-  echo "serve smoke: expected 2 error lines (mistyped set, non-JSON), got $errors" >&2
+if [ "$errors" -ne 3 ]; then
+  echo "serve smoke: expected 3 error lines (mistyped set, non-JSON, too deep), got $errors" >&2
   exit 1
 fi
 grep -q '"bye":true' "$FLEET_DIR/serve.ndjson"

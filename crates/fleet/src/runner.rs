@@ -88,14 +88,14 @@ fn cell_remaining(spec: &SweepSpec, state: &SweepState) -> Vec<u64> {
 }
 
 /// Bump the sequence number and append a snapshot of the current state to
-/// the journal (caller has checked one is configured).
+/// the journal (caller has checked one is configured). The journal
+/// serializes the state in place: nothing is cloned under the lock.
 fn append_snapshot(g: &mut Shared) -> Result<(), String> {
     g.state.seq += 1;
-    let snap_state = g.state.clone();
     g.journal
         .as_mut()
         .expect("journal checked")
-        .append(&snap_state)
+        .append(&g.state)
 }
 
 /// State shared between workers through one mutex.
