@@ -35,6 +35,12 @@ echo "== cargo clippy pedantic (pnoc-noc) =="
 # swept into the stricter lint set.
 cargo clippy -p pnoc-noc --all-targets --offline -- -D warnings
 
+echo "== cargo clippy pedantic (pnoc-noc, feature-gated code) =="
+# The obs-trace hooks and the verify-invariants auditor are cfg-gated, so
+# the default build above never lints them. Lint them here with both
+# features on.
+cargo clippy -p pnoc-noc --all-targets --features "obs-trace verify-invariants" --offline -- -D warnings
+
 echo "== cargo clippy pedantic (pnoc-fleet) =="
 # The fleet layer gets the same pedantic treatment as the simulator core
 # (crate-level attribute in crates/fleet/src/lib.rs), in both the normal

@@ -16,13 +16,17 @@
 //! 2. the price is hop-by-hop latency: ~3 cycles per hop on a 64-node mesh
 //!    versus the ring's 1–8 cycle single photonic hop — the bandwidth/latency
 //!    motivation of every nanophotonic `NoC` paper.
+//!
+//! [`MeshNetwork`] is a [`Fabric`]: the injection pipeline, metrics and
+//! warmup/measure/drain driver are the ones the rings run; only the
+//! [`Mesh`] layer (routers, links, credit wires) is mesh-specific.
 
 use crate::calendar::Calendar;
 use crate::channel::Delivery;
-use crate::metrics::{NetworkMetrics, RunSummary};
-use crate::packet::{Packet, PacketKind};
-use crate::sources::TrafficSource;
-use pnoc_sim::{Clock, Cycle, RunPlan};
+use crate::fabric::{sealed::Sealed, Fabric, Layer};
+use crate::metrics::NetworkMetrics;
+use crate::packet::Packet;
+use pnoc_sim::Cycle;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -118,57 +122,21 @@ struct CreditArrival {
     dir: usize,
 }
 
-/// The electrical mesh network (same driving API as the optical rings).
+/// The electrical mesh network: the [`Mesh`] layer behind the shared
+/// [`Fabric`] injection pipeline and run driver, so it is driven exactly
+/// like the optical rings.
+pub type MeshNetwork = Fabric<Mesh>;
+
+/// The mesh [`Layer`]: input-buffered routers, links and credit wires.
 #[derive(Debug)]
-pub struct MeshNetwork {
+pub struct Mesh {
     cfg: MeshConfig,
-    clock: Clock,
     routers: Vec<Router>,
     link_cal: Calendar<LinkArrival>,
     credit_cal: Calendar<CreditArrival>,
-    inject_cal: Calendar<Packet>,
-    metrics: NetworkMetrics,
-    deliveries: Vec<Delivery>,
-    next_id: u64,
-    gen_buf: Vec<crate::sources::InjectionRequest>,
 }
 
-impl MeshNetwork {
-    /// Build a mesh; fails on invalid configuration.
-    pub fn new(cfg: MeshConfig) -> Result<Self, String> {
-        cfg.validate()?;
-        let routers = (0..cfg.nodes())
-            .map(|_| Router {
-                inputs: Default::default(),
-                credits: [crate::convert::narrow_u32(cfg.input_buffer); 4],
-                rr: [0; PORTS],
-            })
-            .collect();
-        let horizon = (cfg.hop_latency() + 2) as usize;
-        Ok(Self {
-            cfg,
-            clock: Clock::new(),
-            routers,
-            link_cal: Calendar::new(horizon),
-            credit_cal: Calendar::new(4),
-            inject_cal: Calendar::new(cfg.router_latency as usize + 1),
-            metrics: NetworkMetrics::new(),
-            deliveries: Vec::new(),
-            next_id: 0,
-            gen_buf: Vec::new(),
-        })
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.clock.now()
-    }
-
-    /// Accumulated metrics.
-    pub fn metrics(&self) -> &NetworkMetrics {
-        &self.metrics
-    }
-
+impl Mesh {
     fn xy(&self, node: usize) -> (usize, usize) {
         (node % self.cfg.side, node / self.cfg.side)
     }
@@ -211,83 +179,54 @@ impl MeshNetwork {
             _ => unreachable!(),
         }
     }
+}
 
-    /// Inject a packet at the current cycle (same contract as the rings).
-    pub fn inject(
+impl Sealed for Mesh {}
+
+impl Layer for Mesh {
+    type Config = MeshConfig;
+
+    fn build(cfg: MeshConfig) -> Result<Self, String> {
+        cfg.validate()?;
+        let routers = (0..cfg.nodes())
+            .map(|_| Router {
+                inputs: Default::default(),
+                credits: [crate::convert::narrow_u32(cfg.input_buffer); 4],
+                rr: [0; PORTS],
+            })
+            .collect();
+        let horizon = (cfg.hop_latency() + 2) as usize;
+        Ok(Self {
+            cfg,
+            routers,
+            link_cal: Calendar::new(horizon),
+            credit_cal: Calendar::new(4),
+        })
+    }
+
+    fn config(&self) -> &MeshConfig {
+        &self.cfg
+    }
+
+    fn nodes(&self) -> usize {
+        self.cfg.nodes()
+    }
+
+    fn cores_per_node(&self) -> usize {
+        self.cfg.cores_per_node
+    }
+
+    fn router_latency(&self) -> u64 {
+        self.cfg.router_latency
+    }
+
+    fn step(
         &mut self,
-        src_core: usize,
-        dst_node: usize,
-        kind: PacketKind,
-        tag: u64,
-        measured: bool,
-    ) -> u64 {
-        self.inject_classed(src_core, dst_node, kind, tag, 0, measured)
-    }
-
-    /// [`MeshNetwork::inject`] with an explicit traffic class, so classed
-    /// workloads digest per-class latency on the electrical baseline too.
-    pub fn inject_classed(
-        &mut self,
-        src_core: usize,
-        dst_node: usize,
-        kind: PacketKind,
-        tag: u64,
-        class: u8,
-        measured: bool,
-    ) -> u64 {
-        assert!(
-            usize::from(class) < pnoc_traffic::MAX_CLASSES,
-            "class {class} out of range"
-        );
-        assert!(src_core < self.cfg.cores());
-        assert!(dst_node < self.cfg.nodes());
-        let src_node = src_core / self.cfg.cores_per_node;
-        assert_ne!(src_node, dst_node, "local traffic bypasses the mesh");
-        let now = self.clock.now();
-        let id = self.next_id;
-        self.next_id += 1;
-        let pkt = Packet {
-            id,
-            src_core: crate::convert::narrow_u32(src_core),
-            src_node: crate::convert::narrow_u32(src_node),
-            dst_node: crate::convert::narrow_u32(dst_node),
-            kind,
-            generated_at: now,
-            enqueued_at: now,
-            sent_at: 0,
-            sends: 0,
-            measured,
-            tag,
-            class,
-        };
-        self.metrics.generated += 1;
-        if measured {
-            self.metrics.generated_measured += 1;
-        }
-        self.inject_cal.schedule(now + self.cfg.router_latency, pkt);
-        id
-    }
-
-    /// Whether every buffer, link and calendar is empty.
-    pub fn is_drained(&self) -> bool {
-        self.inject_cal.pending() == 0
-            && self.link_cal.pending() == 0
-            && self
-                .routers
-                .iter()
-                .all(|r| r.inputs.iter().all(VecDeque::is_empty))
-    }
-
-    /// Packets delivered by the most recent [`MeshNetwork::step`].
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        let now = self.clock.now();
-        self.deliveries.clear();
-
+        now: Cycle,
+        inject_cal: &mut Calendar<Packet>,
+        metrics: &mut NetworkMetrics,
+        deliveries: &mut Vec<Delivery>,
+    ) {
         // Arrivals land in downstream input buffers (space was reserved by
         // the credit taken at grant time).
         for a in self.link_cal.drain(now) {
@@ -303,7 +242,7 @@ impl MeshNetwork {
             debug_assert!(self.routers[c.router].credits[c.dir] as usize <= self.cfg.input_buffer);
         }
         // Injection-pipeline exits join the local input queue (unbounded).
-        for mut pkt in self.inject_cal.drain(now) {
+        for mut pkt in inject_cal.drain(now) {
             pkt.enqueued_at = now;
             self.routers[pkt.src_node as usize].inputs[LOCAL].push_back(pkt);
         }
@@ -340,13 +279,11 @@ impl MeshNetwork {
                 input_used[p] = true;
                 self.routers[r].rr[out] = (p + 1) % PORTS;
                 if pkt.sends == 0 && pkt.measured {
-                    self.metrics
-                        .queue_wait
-                        .record((now - pkt.enqueued_at) as f64);
+                    metrics.queue_wait.record((now - pkt.enqueued_at) as f64);
                 }
                 pkt.sends += 1;
                 pkt.sent_at = now;
-                self.metrics.sends += 1;
+                metrics.sends += 1;
                 // Freeing a non-local input slot returns a credit upstream.
                 if p != LOCAL {
                     let upstream = self.neighbor(r, p);
@@ -361,14 +298,14 @@ impl MeshNetwork {
                 if out == LOCAL {
                     // Ejection: hand to the local cores.
                     let available_at = now + self.cfg.router_latency;
-                    self.metrics.arrivals += 1;
-                    self.metrics.delivered += 1;
+                    metrics.arrivals += 1;
+                    metrics.delivered += 1;
                     if pkt.measured {
-                        self.metrics.delivered_measured += 1;
-                        self.metrics
+                        metrics.delivered_measured += 1;
+                        metrics
                             .record_latency_class(pkt.class, pkt.latency_at(available_at) as f64);
                     }
-                    self.deliveries.push(Delivery { pkt, available_at });
+                    deliveries.push(Delivery { pkt, available_at });
                 } else {
                     // Forward: consume a credit, traverse pipeline + link.
                     self.routers[r].credits[out] -= 1;
@@ -384,47 +321,35 @@ impl MeshNetwork {
                 }
             }
         }
-
-        self.clock.tick();
     }
 
-    /// Open-loop run with the shared warmup/measure/drain protocol.
-    pub fn run_open_loop(&mut self, source: &mut dyn TrafficSource, plan: RunPlan) -> RunSummary {
-        let mut gen_buf = std::mem::take(&mut self.gen_buf);
-        for _ in 0..plan.total() {
-            let now = self.clock.now();
-            if now < plan.warmup + plan.measure && !source.exhausted() {
-                gen_buf.clear();
-                source.generate(now, &mut gen_buf);
-                let measured = plan.measures(now);
-                for &(core, dst, kind, class) in &gen_buf {
-                    self.inject_classed(core, dst, kind, 0, class, measured);
-                }
-            }
-            self.step();
-        }
-        let mut grace = 16 * self.cfg.side as u64 * self.cfg.hop_latency() + 64;
-        while grace > 0 && !self.is_drained() {
-            self.step();
-            grace -= 1;
-        }
-        self.gen_buf = gen_buf;
-        let offered = self.metrics.generated_measured as f64
-            / (plan.measure.max(1) as f64 * self.cfg.cores() as f64);
-        RunSummary::from_metrics::<&[u64]>(
-            &self.metrics,
-            &[],
-            plan.measure,
-            self.cfg.cores(),
-            offered,
-        )
+    /// Credits still on their wire count: the upstream router cannot use
+    /// that buffer slot until the credit lands.
+    fn is_drained(&self) -> bool {
+        self.link_cal.pending() == 0
+            && self.credit_cal.pending() == 0
+            && self
+                .routers
+                .iter()
+                .all(|r| r.inputs.iter().all(VecDeque::is_empty))
+    }
+
+    fn drain_grace(&self) -> u64 {
+        16 * self.cfg.side as u64 * self.cfg.hop_latency() + 64
+    }
+
+    /// The mesh keeps no per-receiver sender counts.
+    fn service_counts(&self) -> Vec<&[u64]> {
+        Vec::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketKind;
     use crate::sources::SyntheticSource;
+    use pnoc_sim::RunPlan;
     use pnoc_traffic::pattern::TrafficPattern;
 
     fn cfg() -> MeshConfig {
@@ -450,9 +375,9 @@ mod tests {
                 let mut at = src;
                 let mut hops = 0;
                 while at != dst {
-                    let dir = net.route(at, dst);
+                    let dir = net.layer.route(at, dst);
                     assert_ne!(dir, LOCAL);
-                    at = net.neighbor(at, dir);
+                    at = net.layer.neighbor(at, dir);
                     hops += 1;
                     assert!(hops <= 6, "route too long {src}->{dst}");
                 }
@@ -575,6 +500,33 @@ mod tests {
             "optical one-hop should be clearly faster at zero load ({} vs {})",
             mesh_summary.avg_latency,
             ring_summary.avg_latency
+        );
+    }
+
+    #[test]
+    fn drained_means_every_credit_is_home() {
+        // Each hop frees an upstream buffer slot and returns its credit a
+        // cycle later; the last one is still on the wire when the flit is
+        // ejected.
+        let c = MeshConfig::paper_comparable();
+        let mut net = MeshNetwork::new(c).unwrap();
+        net.inject(0, 63, PacketKind::Data, 0, true);
+        let mut guard = 1_000;
+        while !net.is_drained() {
+            net.step();
+            guard -= 1;
+            assert!(guard > 0, "one packet must drain");
+        }
+        assert_eq!(net.metrics().delivered, 1);
+        assert_eq!(
+            net.layer.credit_cal.pending(),
+            0,
+            "drained with a credit in flight"
+        );
+        let full = crate::convert::narrow_u32(c.input_buffer);
+        assert!(
+            net.layer.routers.iter().all(|r| r.credits == [full; 4]),
+            "a router is missing a credit"
         );
     }
 

@@ -24,8 +24,14 @@
 //!   packets into its own channel when its buffer is full, suppressing that
 //!   cycle's token (§III-C).
 //!
-//! The top-level entry point is [`network::Network`]; open-loop experiments
-//! use [`network::Network::run_open_loop`] with a [`sources::TrafficSource`].
+//! Three fabrics share one backbone, [`fabric::Fabric`] — the injection
+//! pipeline, metrics, drain contract and open-loop driver — and differ only
+//! in their [`fabric::Layer`]: the MWSR ring [`network::Network`] (the
+//! paper's platform), the SWMR ring [`swmr::SwmrNetwork`] and the
+//! electrical mesh [`emesh::MeshNetwork`]. Open-loop experiments call
+//! [`fabric::Fabric::run_open_loop`] with a [`sources::TrafficSource`];
+//! closed-loop models drive [`fabric::Fabric::inject`],
+//! [`fabric::Fabric::step`] and [`fabric::Fabric::deliveries`] directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +59,7 @@ pub mod channel;
 pub mod config;
 pub mod convert;
 pub mod emesh;
+pub mod fabric;
 pub mod fsm;
 pub mod metrics;
 pub mod network;
@@ -68,6 +75,7 @@ pub mod topology;
 pub use audit::{ChannelAuditView, InvariantAuditor};
 pub use config::{AdmissionPolicy, FairnessPolicy, NetworkConfig, Scheme};
 pub use emesh::{MeshConfig, MeshNetwork};
+pub use fabric::Fabric;
 pub use fsm::{ChannelModel, CycleEvents, CycleFsm};
 pub use metrics::{NetworkMetrics, RunSummary};
 pub use network::Network;

@@ -1,4 +1,6 @@
-//! The network orchestrator: all channels plus the injection pipeline.
+//! The MWSR ring: one channel per home node, as the [`Mwsr`] layer of the
+//! shared [`Fabric`] backbone (which owns the injection pipeline and the
+//! run driver).
 //!
 //! Channels are built through [`crate::with_scheme!`], the one table that
 //! maps a [`crate::Scheme`] to its (arbiter, flow) pairing, and stored
@@ -8,13 +10,13 @@
 use crate::calendar::Calendar;
 use crate::channel::{Channel, Delivery};
 use crate::config::NetworkConfig;
+use crate::fabric::{sealed::Sealed, Fabric, Layer};
 use crate::metrics::{NetworkMetrics, RunSummary};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::Packet;
 use crate::schemes::{
     CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow, SlotFlow,
 };
-use crate::sources::{InjectionRequest, TrafficSource};
-use pnoc_sim::{Clock, Cycle, RunPlan};
+use pnoc_sim::{Cycle, RunPlan};
 
 /// Monomorphized channel storage: one variant per scheme family, each
 /// holding fully concrete `Channel<A, F>` values. The variant is chosen
@@ -81,8 +83,8 @@ fn build_channels(cfg: &NetworkConfig) -> Channels {
     })
 }
 
-/// A complete ring network: one MWSR channel per node, an injection-router
-/// pipeline, and run-level measurement.
+/// A complete ring network: one MWSR channel per node behind the shared
+/// [`Fabric`] injection pipeline and run driver.
 ///
 /// ```
 /// use pnoc_noc::{Network, NetworkConfig, Scheme, SyntheticSource};
@@ -96,16 +98,14 @@ fn build_channels(cfg: &NetworkConfig) -> Channels {
 /// let summary = net.run_open_loop(&mut src, RunPlan::quick());
 /// assert!(summary.avg_latency > 0.0);
 /// ```
+pub type Network = Fabric<Mwsr>;
+
+/// The MWSR [`Layer`]: one channel per home node, monomorphized per scheme
+/// family, plus the MWSR-only observers.
 #[derive(Debug)]
-pub struct Network {
+pub struct Mwsr {
     cfg: NetworkConfig,
-    clock: Clock,
     channels: Channels,
-    inject_cal: Calendar<Packet>,
-    metrics: NetworkMetrics,
-    deliveries: Vec<Delivery>,
-    next_id: u64,
-    gen_buf: Vec<InjectionRequest>,
     /// Cycle-level invariant auditing (`verify-invariants` feature): see
     /// [`crate::audit::InvariantAuditor`].
     #[cfg(feature = "verify-invariants")]
@@ -121,26 +121,18 @@ pub struct Network {
     /// `None` until [`Network::attach_sampler`] is called.
     #[cfg(feature = "obs-trace")]
     sampler: Option<pnoc_obs::OccupancySampler>,
-    /// Live injection subscriber (`obs-trace` feature); `None` until
-    /// [`Network::attach_recorder`] is called. Sees every injection in
-    /// simulation order — the capture surface for trace recording.
-    #[cfg(feature = "obs-trace")]
-    recorder: Option<Box<dyn pnoc_obs::InjectSubscriber>>,
 }
 
-impl Network {
-    /// Build a network; fails on invalid configuration.
-    pub fn new(cfg: NetworkConfig) -> Result<Self, String> {
+impl Sealed for Mwsr {}
+
+impl Layer for Mwsr {
+    type Config = NetworkConfig;
+
+    fn build(cfg: NetworkConfig) -> Result<Self, String> {
         cfg.validate()?;
         Ok(Self {
             cfg,
-            clock: Clock::new(),
             channels: build_channels(&cfg),
-            inject_cal: Calendar::new(cfg.router_latency as usize + 1),
-            metrics: NetworkMetrics::new(),
-            deliveries: Vec::new(),
-            next_id: 0,
-            gen_buf: Vec::new(),
             #[cfg(feature = "verify-invariants")]
             auditor: crate::audit::InvariantAuditor::new(cfg.nodes),
             #[cfg(feature = "verify-invariants")]
@@ -149,160 +141,32 @@ impl Network {
             audit_pending: Vec::new(),
             #[cfg(feature = "obs-trace")]
             sampler: None,
-            #[cfg(feature = "obs-trace")]
-            recorder: None,
         })
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.clock.now()
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &NetworkConfig {
+    fn config(&self) -> &NetworkConfig {
         &self.cfg
     }
 
-    /// Accumulated metrics.
-    pub fn metrics(&self) -> &NetworkMetrics {
-        &self.metrics
+    fn nodes(&self) -> usize {
+        self.cfg.nodes
     }
 
-    /// Attach a fixed-capacity packet-lifecycle event trace. Events emitted
-    /// before attachment are not recorded; once `capacity` events are held
-    /// the oldest are overwritten (the drop count is reported on export).
-    #[cfg(feature = "obs-trace")]
-    pub fn attach_trace(&mut self, capacity: usize) {
-        self.metrics.obs.attach(capacity);
+    fn cores_per_node(&self) -> usize {
+        self.cfg.cores_per_node
     }
 
-    /// The attached event trace, if any.
-    #[cfg(feature = "obs-trace")]
-    pub fn trace(&self) -> Option<&pnoc_obs::RingTrace> {
-        self.metrics.obs.trace()
+    fn router_latency(&self) -> u64 {
+        self.cfg.router_latency
     }
 
-    /// Attach a per-channel occupancy sampler that records every channel's
-    /// occupancy/queue/setaside/credit/token state every `stride` cycles.
-    #[cfg(feature = "obs-trace")]
-    pub fn attach_sampler(&mut self, stride: u64) {
-        self.sampler = Some(pnoc_obs::OccupancySampler::new(stride));
-    }
-
-    /// The attached occupancy sampler, if any.
-    #[cfg(feature = "obs-trace")]
-    pub fn sampler(&self) -> Option<&pnoc_obs::OccupancySampler> {
-        self.sampler.as_ref()
-    }
-
-    /// Attach a live injection subscriber. From now until
-    /// [`Network::detach_recorder`], every injection is forwarded to the
-    /// subscriber synchronously, in simulation order. Replaces any
-    /// previously attached subscriber (returned to the caller).
-    #[cfg(feature = "obs-trace")]
-    pub fn attach_recorder(
+    fn step(
         &mut self,
-        recorder: Box<dyn pnoc_obs::InjectSubscriber>,
-    ) -> Option<Box<dyn pnoc_obs::InjectSubscriber>> {
-        self.recorder.replace(recorder)
-    }
-
-    /// Detach and return the attached injection subscriber, if any (use
-    /// [`pnoc_obs::InjectSubscriber::into_any`] to recover the concrete
-    /// type and finish its output).
-    #[cfg(feature = "obs-trace")]
-    pub fn detach_recorder(&mut self) -> Option<Box<dyn pnoc_obs::InjectSubscriber>> {
-        self.recorder.take()
-    }
-
-    /// Inject a packet from `src_core` to `dst_node` at the current cycle.
-    /// It enters the sender's output queue after the injection router
-    /// pipeline. Returns the packet id. Panics on self-node traffic (local
-    /// delivery bypasses the optical network) and out-of-range indices.
-    pub fn inject(
-        &mut self,
-        src_core: usize,
-        dst_node: usize,
-        kind: PacketKind,
-        tag: u64,
-        measured: bool,
-    ) -> u64 {
-        self.inject_classed(src_core, dst_node, kind, tag, 0, measured)
-    }
-
-    /// [`Network::inject`] with an explicit traffic class (multi-tenant
-    /// `QoS`). Class 0 is the default class; classes must be below
-    /// [`pnoc_traffic::MAX_CLASSES`].
-    pub fn inject_classed(
-        &mut self,
-        src_core: usize,
-        dst_node: usize,
-        kind: PacketKind,
-        tag: u64,
-        class: u8,
-        measured: bool,
-    ) -> u64 {
-        assert!(
-            usize::from(class) < pnoc_traffic::MAX_CLASSES,
-            "class {class} out of range"
-        );
-        assert!(src_core < self.cfg.cores(), "core {src_core} out of range");
-        assert!(dst_node < self.cfg.nodes, "node {dst_node} out of range");
-        let src_node = src_core / self.cfg.cores_per_node;
-        assert_ne!(
-            src_node, dst_node,
-            "self-node traffic never enters the ring"
-        );
-        let now = self.clock.now();
-        let id = self.next_id;
-        self.next_id += 1;
-        let pkt = Packet {
-            id,
-            src_core: crate::convert::narrow_u32(src_core),
-            src_node: crate::convert::narrow_u32(src_node),
-            dst_node: crate::convert::narrow_u32(dst_node),
-            kind,
-            generated_at: now,
-            enqueued_at: now, // overwritten when it exits the pipeline
-            sent_at: 0,
-            sends: 0,
-            measured,
-            tag,
-            class,
-        };
-        self.metrics.generated += 1;
-        if measured {
-            self.metrics.generated_measured += 1;
-        }
-        self.metrics
-            .trace(now, dst_node, src_node, id, pnoc_obs::EventKind::Inject);
-        #[cfg(feature = "obs-trace")]
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_inject(pnoc_obs::InjectRecord {
-                cycle: now,
-                src_core: crate::convert::narrow_u32(src_core),
-                dst_node: crate::convert::narrow_u32(dst_node),
-                kind: match kind {
-                    PacketKind::Request => pnoc_obs::InjectKind::Request,
-                    PacketKind::Reply => pnoc_obs::InjectKind::Reply,
-                    PacketKind::Data => pnoc_obs::InjectKind::Data,
-                },
-                class,
-            });
-        }
-        self.inject_cal.schedule(now + self.cfg.router_latency, pkt);
-        id
-    }
-
-    /// Advance the network one cycle. Deliveries completed this cycle are
-    /// available from [`Network::deliveries`] until the next `step`.
-    pub fn step(&mut self) {
-        let now = self.clock.now();
-        self.deliveries.clear();
-        let metrics = &mut self.metrics;
-        let deliveries = &mut self.deliveries;
-        let inject_cal = &mut self.inject_cal;
+        now: Cycle,
+        inject_cal: &mut Calendar<Packet>,
+        metrics: &mut NetworkMetrics,
+        deliveries: &mut Vec<Delivery>,
+    ) {
         // One monomorphization branch for the whole cycle: inject drain plus
         // all six phases run over the concrete channel type.
         for_channels!(&mut self.channels, chs => {
@@ -332,8 +196,50 @@ impl Network {
             }
         }
         #[cfg(feature = "verify-invariants")]
-        self.audit(now);
-        self.clock.tick();
+        self.audit(now, inject_cal, metrics, deliveries);
+    }
+
+    fn is_drained(&self) -> bool {
+        for_channels!(&self.channels, chs => chs.iter().all(Channel::is_drained))
+    }
+
+    /// Fault injection needs a much longer horizon than a healthy ring:
+    /// timeout recovery with exponential backoff can take thousands of
+    /// cycles, and the drain loop exits early, so healthy runs never pay
+    /// for it.
+    fn drain_grace(&self) -> u64 {
+        if self.cfg.faults.enabled() {
+            200_000
+        } else {
+            4 * self.cfg.ring_segments as u64 + 64
+        }
+    }
+
+    fn service_counts(&self) -> Vec<&[u64]> {
+        for_channels!(&self.channels, chs => chs
+            .iter()
+            .map(|c| c.served_by_sender.as_slice())
+            .collect())
+    }
+}
+
+impl Mwsr {
+    /// Refill `views` with every channel's audit view and `pending` with
+    /// the ids still in the injection pipeline.
+    fn audit_snapshot_into(
+        &self,
+        inject_cal: &Calendar<Packet>,
+        views: &mut Vec<crate::audit::ChannelAuditView>,
+        pending: &mut Vec<u64>,
+    ) {
+        views.resize_with(self.cfg.nodes, Default::default);
+        for_channels!(&self.channels, chs => {
+            for (ch, view) in chs.iter().zip(views.iter_mut()) {
+                ch.audit_view_into(view);
+            }
+        });
+        pending.clear();
+        pending.extend(inject_cal.pending_iter().map(|(_, p)| p.id));
     }
 
     /// Run the cycle-level invariant auditor against this cycle's end state
@@ -345,8 +251,14 @@ impl Network {
     ///
     /// Panics with a diagnostic on the first violated invariant.
     #[cfg(feature = "verify-invariants")]
-    fn audit(&mut self, now: Cycle) {
-        for d in &self.deliveries {
+    fn audit(
+        &mut self,
+        now: Cycle,
+        inject_cal: &Calendar<Packet>,
+        metrics: &NetworkMetrics,
+        deliveries: &[Delivery],
+    ) {
+        for d in deliveries {
             if let Err(why) = self.auditor.observe_delivery(d.pkt.id) {
                 panic!("invariant auditor, cycle {now}: {why}");
             }
@@ -356,7 +268,7 @@ impl Network {
         if !self.auditor.due(now) {
             return;
         }
-        for_channels!(&self.channels, chs => for ch in chs.iter() {
+        for_channels!(&self.channels, chs => for ch in chs {
             if let Err(why) = ch.try_check_invariants() {
                 panic!("invariant auditor, cycle {now}, channel {}: {why}", ch.home());
             }
@@ -365,16 +277,46 @@ impl Network {
         // out and put back to satisfy the borrow checker alongside `&self`).
         let mut views = std::mem::take(&mut self.audit_views);
         let mut pending = std::mem::take(&mut self.audit_pending);
-        self.audit_snapshot_into(&mut views, &mut pending);
+        self.audit_snapshot_into(inject_cal, &mut views, &mut pending);
         let verdict = self
             .auditor
-            .check(&views, &self.metrics, &pending)
+            .check(&views, metrics, &pending)
             .and_then(|()| self.auditor.check_starvation(now, &views));
         self.audit_views = views;
         self.audit_pending = pending;
         if let Err(why) = verdict {
             panic!("invariant auditor, cycle {now}: {why}");
         }
+    }
+}
+
+/// MWSR-only observers and the external audit surface.
+impl Network {
+    /// Attach a fixed-capacity packet-lifecycle event trace. Events emitted
+    /// before attachment are not recorded; once `capacity` events are held
+    /// the oldest are overwritten (the drop count is reported on export).
+    #[cfg(feature = "obs-trace")]
+    pub fn attach_trace(&mut self, capacity: usize) {
+        self.metrics.obs.attach(capacity);
+    }
+
+    /// The attached event trace, if any.
+    #[cfg(feature = "obs-trace")]
+    pub fn trace(&self) -> Option<&pnoc_obs::RingTrace> {
+        self.metrics.obs.trace()
+    }
+
+    /// Attach a per-channel occupancy sampler that records every channel's
+    /// occupancy/queue/setaside/credit/token state every `stride` cycles.
+    #[cfg(feature = "obs-trace")]
+    pub fn attach_sampler(&mut self, stride: u64) {
+        self.layer.sampler = Some(pnoc_obs::OccupancySampler::new(stride));
+    }
+
+    /// The attached occupancy sampler, if any.
+    #[cfg(feature = "obs-trace")]
+    pub fn sampler(&self) -> Option<&pnoc_obs::OccupancySampler> {
+        self.layer.sampler.as_ref()
     }
 
     /// Snapshot the per-channel views plus the ids still in the injection
@@ -388,14 +330,8 @@ impl Network {
         views: &mut Vec<crate::audit::ChannelAuditView>,
         pending: &mut Vec<u64>,
     ) {
-        views.resize_with(self.cfg.nodes, Default::default);
-        for_channels!(&self.channels, chs => {
-            for (ch, view) in chs.iter().zip(views.iter_mut()) {
-                ch.audit_view_into(view);
-            }
-        });
-        pending.clear();
-        pending.extend(self.inject_cal.pending_iter().map(|(_, p)| p.id));
+        self.layer
+            .audit_snapshot_into(&self.inject_cal, views, pending);
     }
 
     /// Allocating convenience wrapper around [`Network::audit_snapshot_into`].
@@ -404,69 +340,6 @@ impl Network {
         let mut pending = Vec::new();
         self.audit_snapshot_into(&mut views, &mut pending);
         (views, pending)
-    }
-
-    /// Packets delivered by the most recent [`Network::step`].
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
-    }
-
-    /// Whether every queue, ring slot, buffer and handshake is empty.
-    pub fn is_drained(&self) -> bool {
-        self.inject_cal.pending() == 0
-            && for_channels!(&self.channels, chs => chs.iter().all(Channel::is_drained))
-    }
-
-    /// Per-channel measured service counts by sender node (fairness).
-    /// Borrows the channels' live counters — no copies.
-    pub fn service_counts(&self) -> Vec<&[u64]> {
-        for_channels!(&self.channels, chs => chs
-            .iter()
-            .map(|c| c.served_by_sender.as_slice())
-            .collect())
-    }
-
-    /// Run the standard open-loop experiment: warmup, measure, drain, then
-    /// summarize (one point on a latency-vs-load figure).
-    pub fn run_open_loop(&mut self, source: &mut dyn TrafficSource, plan: RunPlan) -> RunSummary {
-        let mut gen_buf = std::mem::take(&mut self.gen_buf);
-        for _ in 0..plan.total() {
-            let now = self.clock.now();
-            let phase_allows = now < plan.warmup + plan.measure;
-            if phase_allows && !source.exhausted() {
-                gen_buf.clear();
-                source.generate(now, &mut gen_buf);
-                let measured = plan.measures(now);
-                for &(core, dst, kind, class) in &gen_buf {
-                    self.inject_classed(core, dst, kind, 0, class, measured);
-                }
-            }
-            self.step();
-        }
-        // Give stragglers a bounded grace period so latency averages are not
-        // truncated at the drain boundary (matters near saturation). Fault
-        // injection needs a much longer horizon: timeout recovery with
-        // exponential backoff can take thousands of cycles, and the loop
-        // exits early once drained, so healthy runs never pay for it.
-        let mut grace = if self.cfg.faults.enabled() {
-            200_000
-        } else {
-            4 * self.cfg.ring_segments as u64 + 64
-        };
-        while grace > 0 && !self.is_drained() {
-            self.step();
-            grace -= 1;
-        }
-        self.gen_buf = gen_buf;
-        let offered = self.metrics.generated_measured as f64
-            / (plan.measure.max(1) as f64 * self.cfg.cores() as f64);
-        RunSummary::from_metrics(
-            &self.metrics,
-            &self.service_counts(),
-            plan.measure,
-            self.cfg.cores(),
-            offered,
-        )
     }
 }
 
@@ -501,33 +374,12 @@ pub struct PointDetail {
     pub latency: pnoc_obs::LatencyRecorder,
 }
 
-/// [`run_synthetic_point`], but also returning the latency recorder.
-pub fn run_synthetic_point_detailed(
-    cfg: NetworkConfig,
-    pattern: pnoc_traffic::pattern::TrafficPattern,
-    rate: f64,
-    plan: RunPlan,
-) -> PointDetail {
-    let mut net = Network::new(cfg).expect("invalid config");
-    let mut src = crate::sources::SyntheticSource::new(
-        pattern,
-        rate,
-        cfg.nodes,
-        cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
-    );
-    let summary = net.run_open_loop(&mut src, plan);
-    PointDetail {
-        summary,
-        latency: net.metrics().latency_rec.clone(),
-    }
-}
-
-/// [`run_synthetic_point_detailed`] with a multi-tenant source: the mix's
-/// tenants split the offered rate and tag packets with their traffic
-/// classes. [`pnoc_traffic::classes::TenantMixKind::SingleClass`]
-/// reproduces the plain synthetic run bit-for-bit (same seed derivation,
-/// same injection stream).
+/// [`run_synthetic_point`] with a multi-tenant source, also returning the
+/// latency recorder: the mix's tenants split the offered rate and tag
+/// packets with their traffic classes.
+/// [`pnoc_traffic::classes::TenantMixKind::SingleClass`] reproduces the
+/// plain synthetic run bit-for-bit (same seed derivation, same injection
+/// stream).
 pub fn run_classed_point_detailed(
     cfg: NetworkConfig,
     mix: pnoc_traffic::classes::TenantMixKind,
@@ -555,6 +407,7 @@ pub fn run_classed_point_detailed(
 mod tests {
     use super::*;
     use crate::config::Scheme;
+    use crate::packet::PacketKind;
     use crate::sources::SyntheticSource;
     use pnoc_traffic::pattern::TrafficPattern;
 
@@ -620,16 +473,6 @@ mod tests {
             s.throughput_per_core,
             s.offered_per_core
         );
-    }
-
-    #[test]
-    fn inject_validates_arguments() {
-        let cfg = NetworkConfig::small(Scheme::TokenSlot);
-        let mut net = Network::new(cfg).unwrap();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            net.inject(0, 0, PacketKind::Data, 0, false) // core 0 lives on node 0
-        }));
-        assert!(r.is_err(), "self-node traffic must be rejected");
     }
 
     #[test]

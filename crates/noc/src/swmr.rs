@@ -21,18 +21,20 @@
 //!   SWMR.
 //!
 //! The model reuses the MWSR building blocks: wave-pipelined [`SlotRing`]
-//! channels (one per *source*), [`OutQueue`] send disciplines, calendars for
-//! handshake/credit returns, and the same warmup/measure/drain protocol.
+//! channels (one per *source*), [`OutQueue`] send disciplines and calendars
+//! for handshake/credit returns. [`SwmrNetwork`] is a [`Fabric`], so the
+//! injection pipeline, metrics and warmup/measure/drain driver are the
+//! ones the MWSR ring runs; only the [`Swmr`] layer is SWMR-specific.
 
 use crate::calendar::Calendar;
 use crate::channel::Delivery;
-use crate::metrics::{NetworkMetrics, RunSummary};
+use crate::fabric::{sealed::Sealed, Fabric, Layer};
+use crate::metrics::NetworkMetrics;
 use crate::outqueue::{OutQueue, SendMode};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::Packet;
 use crate::slots::SlotRing;
-use crate::sources::TrafficSource;
 use crate::topology::Topology;
-use pnoc_sim::{Clock, Cycle, RunPlan};
+use pnoc_sim::Cycle;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -169,24 +171,26 @@ struct SwmrReceiver {
     served_by_sender: Vec<u64>,
 }
 
-/// The SWMR network.
+/// The SWMR network: the [`Swmr`] layer behind the shared [`Fabric`]
+/// injection pipeline and run driver.
+pub type SwmrNetwork = Fabric<Swmr>;
+
+/// The SWMR [`Layer`]: one write channel per source, one receive side per
+/// node.
 #[derive(Debug)]
-pub struct SwmrNetwork {
+pub struct Swmr {
     cfg: SwmrConfig,
     topo: Topology,
-    clock: Clock,
     channels: Vec<SwmrChannel>,
     receivers: Vec<SwmrReceiver>,
-    inject_cal: Calendar<Packet>,
-    metrics: NetworkMetrics,
-    deliveries: Vec<Delivery>,
-    next_id: u64,
-    gen_buf: Vec<crate::sources::InjectionRequest>,
 }
 
-impl SwmrNetwork {
-    /// Build an SWMR network; fails on invalid configuration.
-    pub fn new(cfg: SwmrConfig) -> Result<Self, String> {
+impl Sealed for Swmr {}
+
+impl Layer for Swmr {
+    type Config = SwmrConfig;
+
+    fn build(cfg: SwmrConfig) -> Result<Self, String> {
         cfg.validate()?;
         let topo = Topology::new(cfg.nodes, cfg.ring_segments);
         let mode = match cfg.flow {
@@ -219,111 +223,36 @@ impl SwmrNetwork {
         Ok(Self {
             cfg,
             topo,
-            clock: Clock::new(),
             channels,
             receivers,
-            inject_cal: Calendar::new(cfg.router_latency as usize + 1),
-            metrics: NetworkMetrics::new(),
-            deliveries: Vec::new(),
-            next_id: 0,
-            gen_buf: Vec::new(),
         })
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.clock.now()
+    fn config(&self) -> &SwmrConfig {
+        &self.cfg
     }
 
-    /// Accumulated metrics.
-    pub fn metrics(&self) -> &NetworkMetrics {
-        &self.metrics
+    fn nodes(&self) -> usize {
+        self.cfg.nodes
     }
 
-    /// Inject a packet (same contract as [`crate::network::Network::inject`]).
-    pub fn inject(
+    fn cores_per_node(&self) -> usize {
+        self.cfg.cores_per_node
+    }
+
+    fn router_latency(&self) -> u64 {
+        self.cfg.router_latency
+    }
+
+    fn step(
         &mut self,
-        src_core: usize,
-        dst_node: usize,
-        kind: PacketKind,
-        tag: u64,
-        measured: bool,
-    ) -> u64 {
-        self.inject_classed(src_core, dst_node, kind, tag, 0, measured)
-    }
-
-    /// [`SwmrNetwork::inject`] with an explicit traffic class, so classed
-    /// workloads digest per-class latency on the SWMR baseline too.
-    pub fn inject_classed(
-        &mut self,
-        src_core: usize,
-        dst_node: usize,
-        kind: PacketKind,
-        tag: u64,
-        class: u8,
-        measured: bool,
-    ) -> u64 {
-        assert!(
-            usize::from(class) < pnoc_traffic::MAX_CLASSES,
-            "class {class} out of range"
-        );
-        assert!(src_core < self.cfg.cores());
-        assert!(dst_node < self.cfg.nodes);
-        let src_node = src_core / self.cfg.cores_per_node;
-        assert_ne!(
-            src_node, dst_node,
-            "self-node traffic never enters the ring"
-        );
-        let now = self.clock.now();
-        let id = self.next_id;
-        self.next_id += 1;
-        let pkt = Packet {
-            id,
-            src_core: crate::convert::narrow_u32(src_core),
-            src_node: crate::convert::narrow_u32(src_node),
-            dst_node: crate::convert::narrow_u32(dst_node),
-            kind,
-            generated_at: now,
-            enqueued_at: now,
-            sent_at: 0,
-            sends: 0,
-            measured,
-            tag,
-            class,
-        };
-        self.metrics.generated += 1;
-        if measured {
-            self.metrics.generated_measured += 1;
-        }
-        self.inject_cal.schedule(now + self.cfg.router_latency, pkt);
-        id
-    }
-
-    /// Whether everything has drained.
-    pub fn is_drained(&self) -> bool {
-        self.inject_cal.pending() == 0
-            && self
-                .channels
-                .iter()
-                .all(|c| c.queue.is_idle() && c.data.is_empty() && c.acks.pending() == 0)
-            && self
-                .receivers
-                .iter()
-                .all(|r| r.input_queue.is_empty() && r.draining == 0)
-    }
-
-    /// Packets delivered by the most recent [`SwmrNetwork::step`].
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        let now = self.clock.now();
-        self.deliveries.clear();
-
+        now: Cycle,
+        inject_cal: &mut Calendar<Packet>,
+        metrics: &mut NetworkMetrics,
+        deliveries: &mut Vec<Delivery>,
+    ) {
         // Injection pipeline exits.
-        for mut pkt in self.inject_cal.drain(now) {
+        for mut pkt in inject_cal.drain(now) {
             pkt.enqueued_at = now;
             self.channels[pkt.src_node as usize].queue.push(pkt);
         }
@@ -351,7 +280,7 @@ impl SwmrNetwork {
                 if !arrived {
                     continue;
                 }
-                self.metrics.arrivals += 1;
+                metrics.arrivals += 1;
                 let rx = &mut self.receivers[dst];
                 let has_room =
                     rx.input_queue.len() + (rx.draining as usize) < self.cfg.input_buffer;
@@ -367,7 +296,7 @@ impl SwmrNetwork {
                     if has_room {
                         rx.input_queue.push_back(pkt);
                     } else {
-                        self.metrics.drops += 1;
+                        metrics.drops += 1;
                     }
                 } else {
                     debug_assert!(has_room, "credit reservation violated");
@@ -386,7 +315,7 @@ impl SwmrNetwork {
                 } else {
                     let requeued = ch.queue.nack(ack.id);
                     debug_assert!(requeued);
-                    self.metrics.retransmissions += 1;
+                    metrics.retransmissions += 1;
                 }
             }
             for cr in ch.credits_in.drain(now) {
@@ -420,11 +349,9 @@ impl SwmrNetwork {
                     .take_grant(now, crate::config::FairnessPolicy::None);
                 if let Some(pkt) = ch.queue.transmit(now) {
                     if pkt.sends == 1 && pkt.measured {
-                        self.metrics
-                            .queue_wait
-                            .record((now - pkt.enqueued_at) as f64);
+                        metrics.queue_wait.record((now - pkt.enqueued_at) as f64);
                     }
-                    self.metrics.sends += 1;
+                    metrics.sends += 1;
                     if self.cfg.flow == SwmrFlowControl::PartitionedCredit {
                         ch.credits[pkt.dst_node as usize] -= 1;
                     }
@@ -467,66 +394,49 @@ impl SwmrNetwork {
                     rx.draining += 1;
                     rx.releases.schedule(available_at, pkt);
                 }
-                self.metrics.delivered += 1;
+                metrics.delivered += 1;
                 if pkt.measured {
-                    self.metrics.delivered_measured += 1;
-                    self.metrics
-                        .record_latency_class(pkt.class, pkt.latency_at(available_at) as f64);
+                    metrics.delivered_measured += 1;
+                    metrics.record_latency_class(pkt.class, pkt.latency_at(available_at) as f64);
                     rx.served_by_sender[pkt.src_node as usize] += 1;
                 }
-                self.deliveries.push(Delivery { pkt, available_at });
+                deliveries.push(Delivery { pkt, available_at });
             }
         }
-
-        self.clock.tick();
     }
 
-    /// Per-receiver measured service counts by sender. Borrows the live
-    /// counters — no copies.
-    pub fn service_counts(&self) -> Vec<&[u64]> {
+    /// Credits still travelling back to their senders count: a sender
+    /// missing one is locked out of that destination until it lands.
+    fn is_drained(&self) -> bool {
+        self.channels.iter().all(|c| {
+            c.queue.is_idle()
+                && c.data.is_empty()
+                && c.acks.pending() == 0
+                && c.credits_in.pending() == 0
+        }) && self
+            .receivers
+            .iter()
+            .all(|r| r.input_queue.is_empty() && r.draining == 0)
+    }
+
+    fn drain_grace(&self) -> u64 {
+        4 * self.cfg.ring_segments as u64 + 64
+    }
+
+    fn service_counts(&self) -> Vec<&[u64]> {
         self.receivers
             .iter()
             .map(|r| r.served_by_sender.as_slice())
             .collect()
-    }
-
-    /// Open-loop run, identical protocol to the MWSR network.
-    pub fn run_open_loop(&mut self, source: &mut dyn TrafficSource, plan: RunPlan) -> RunSummary {
-        let mut gen_buf = std::mem::take(&mut self.gen_buf);
-        for _ in 0..plan.total() {
-            let now = self.clock.now();
-            if now < plan.warmup + plan.measure && !source.exhausted() {
-                gen_buf.clear();
-                source.generate(now, &mut gen_buf);
-                let measured = plan.measures(now);
-                for &(core, dst, kind, class) in &gen_buf {
-                    self.inject_classed(core, dst, kind, 0, class, measured);
-                }
-            }
-            self.step();
-        }
-        let mut grace = 4 * self.cfg.ring_segments as u64 + 64;
-        while grace > 0 && !self.is_drained() {
-            self.step();
-            grace -= 1;
-        }
-        self.gen_buf = gen_buf;
-        let offered = self.metrics.generated_measured as f64
-            / (plan.measure.max(1) as f64 * self.cfg.cores() as f64);
-        RunSummary::from_metrics(
-            &self.metrics,
-            &self.service_counts(),
-            plan.measure,
-            self.cfg.cores(),
-            offered,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketKind;
     use crate::sources::SyntheticSource;
+    use pnoc_sim::RunPlan;
     use pnoc_traffic::pattern::TrafficPattern;
 
     fn small(flow: SwmrFlowControl) -> SwmrConfig {
@@ -674,6 +584,34 @@ mod tests {
         }
         assert_eq!(seen, 8);
         assert_eq!(net.metrics().sends, 8);
+    }
+
+    #[test]
+    fn drained_means_every_credit_is_home() {
+        // The last credit returns a ring trip after its flit leaves the
+        // receiver; a network that reports drained before then would let a
+        // follow-on run start with that sender locked out.
+        let cfg = SwmrConfig::paper_credit();
+        let mut net = SwmrNetwork::new(cfg).unwrap();
+        net.inject(0, 5, PacketKind::Data, 0, true);
+        let mut guard = 1_000;
+        while !net.is_drained() {
+            net.step();
+            guard -= 1;
+            assert!(guard > 0, "one packet must drain");
+        }
+        assert_eq!(net.metrics().delivered, 1);
+        let in_flight: usize = net
+            .layer
+            .channels
+            .iter()
+            .map(|c| c.credits_in.pending())
+            .sum();
+        assert_eq!(in_flight, 0, "drained with a credit in flight");
+        assert_eq!(
+            net.layer.channels[0].credits[5], 1,
+            "credit for node 5 not home"
+        );
     }
 
     #[test]
