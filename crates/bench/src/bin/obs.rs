@@ -1,9 +1,7 @@
 //! Observability demo: run a deliberately saturated 64-node UR workload on
-//! DHS with the event trace, occupancy sampler, and span profiler attached,
-//! then export everything `pnoc-obs` produces.
-//!
-//! Requires `--features obs-trace`. Outputs (under `--out <dir>`, default
-//! `results/obs`):
+//! DHS with the event trace and occupancy sampler attached at run time,
+//! then export everything `pnoc-obs` produces. Outputs (under
+//! `--out <dir>`, default `results/obs`):
 //!
 //! * `obs_trace.json`      — packet-lifecycle event trace (ring-buffer tail)
 //! * `obs_occupancy.csv`   — per-channel occupancy/credit/setaside series
@@ -52,7 +50,6 @@ fn main() {
     let mut net = Network::new(cfg).expect("valid config");
     net.attach_trace(1 << 16);
     net.attach_sampler(if quick { 16 } else { 64 });
-    pnoc_obs::prof::reset();
 
     let mut src = pnoc_noc::sources::SyntheticSource::new(
         TrafficPattern::UniformRandom,
@@ -109,8 +106,4 @@ fn main() {
     let summary_path =
         pnoc_bench::export::write_json(&out, "obs_summary", &summary).expect("write summary json");
     println!("wrote {}", summary_path.display());
-
-    let spans = pnoc_obs::prof::snapshot();
-    println!("\nscheme-pipeline span profile:");
-    println!("{}", pnoc_obs::prof::render_table(&spans));
 }

@@ -86,22 +86,6 @@ fn main() -> ExitCode {
         "aggregate: {:.3e} simulated cycles/sec",
         report.total_cycles_per_sec
     );
-    // Phase attribution (obs-trace builds only; empty otherwise).
-    for s in &report.schemes {
-        if s.phases.is_empty() {
-            continue;
-        }
-        println!("-- {} phase profile --", s.scheme);
-        for p in &s.phases {
-            println!(
-                "  {:<16} {:>12} calls {:>10.1} ms {:>6} ns/call",
-                p.name,
-                p.calls,
-                p.nanos as f64 / 1e6,
-                p.nanos / p.calls.max(1)
-            );
-        }
-    }
 
     if let Some(path) = &json_path {
         let body = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -17,7 +17,7 @@
 //! trace back, validating every chunk CRC, and (with `--max-rss-mb`) fails
 //! if peak RSS exceeded the bound: the CI smoke proving bounded-memory
 //! ingestion. `bench` is the `BENCH_trace.json` throughput gate (mirrors
-//! the `perf` binary). `record` (requires the `obs-trace` feature) captures
+//! the `perf` binary). `record` captures
 //! a live synthetic run's injections as PTRC; `replay` streams a trace
 //! through the network and prints the run summary — recording and replaying
 //! under the same scheme/seed/plan reproduces the summary byte-identically.
@@ -36,7 +36,7 @@ fn usage() -> ExitCode {
          trace info   <path>\n\
          trace ingest <path> [--max-rss-mb N]\n\
          trace bench  [--quick] [--json <path>] [--check <baseline.json>]\n\
-         trace record --out <path> [--scheme <name>] [--rate R] [--seed N] [--quick]  (obs-trace builds)\n\
+         trace record --out <path> [--scheme <name>] [--rate R] [--seed N] [--quick]\n\
          trace replay <path> [--scheme <name>] [--seed N] [--quick]"
     );
     ExitCode::FAILURE
@@ -356,7 +356,6 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-#[cfg(feature = "obs-trace")]
 fn cmd_record(args: &[String]) -> ExitCode {
     match record_inner(args) {
         Ok(msg) => {
@@ -370,7 +369,6 @@ fn cmd_record(args: &[String]) -> ExitCode {
     }
 }
 
-#[cfg(feature = "obs-trace")]
 fn record_inner(args: &[String]) -> Result<String, String> {
     let (_, flags) = parse_flags(args)?;
     let out = flag(&flags, "out").ok_or("--out <path> is required")?;
@@ -398,15 +396,6 @@ fn record_inner(args: &[String]) -> Result<String, String> {
         stats.bytes,
         serde_json::to_string(&summary).expect("summary serializes"),
     ))
-}
-
-#[cfg(not(feature = "obs-trace"))]
-fn cmd_record(_args: &[String]) -> ExitCode {
-    eprintln!(
-        "trace record: requires the obs-trace feature \
-         (rebuild with --features obs-trace)"
-    );
-    ExitCode::FAILURE
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {

@@ -35,22 +35,6 @@ pub const REGRESSION_TOLERANCE: f64 = 0.10;
 /// Offered loads (packets/cycle/core) swept per scheme.
 pub const RATES: [f64; 3] = [0.02, 0.05, 0.08];
 
-/// Wall-clock attribution for one channel phase (`phase_arrival`,
-/// `phase_acks`, …), captured by the `pnoc_obs::prof` span profiler.
-///
-/// Populated only when the `obs-trace` feature is compiled in; the span
-/// hooks are deleted from default builds, so the CI gate's timed numbers
-/// never carry profiling overhead and its reports have empty phase lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PhaseStat {
-    /// Span name as declared at the instrumentation site.
-    pub name: String,
-    /// Times the span was entered across the profiling sweep.
-    pub calls: u64,
-    /// Total nanoseconds inside the span (saturating).
-    pub nanos: u64,
-}
-
 /// One scheme's measured simulator throughput.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SchemePerf {
@@ -66,9 +50,6 @@ pub struct SchemePerf {
     pub cycles_per_sec: f64,
     /// Wall-clock nanoseconds per delivered packet.
     pub ns_per_packet: f64,
-    /// Per-phase wall-clock attribution from a separate *untimed* profiling
-    /// pass (see [`PhaseStat`]); empty unless built with `obs-trace`.
-    pub phases: Vec<PhaseStat>,
 }
 
 /// The full perf report written to `BENCH_perf.json`.
@@ -141,24 +122,6 @@ pub fn measure(quick: bool) -> PerfReport {
             cycles = c;
             delivered = d;
         }
-        // Phase attribution runs as its own pass *after* the timed ones, on
-        // the same worker thread (the span table is thread-local), so the
-        // profiler's bookkeeping never leaks into the gated numbers.
-        #[cfg(feature = "obs-trace")]
-        let phases = {
-            pnoc_obs::prof::reset();
-            let _ = sweep_once(scheme, quick);
-            pnoc_obs::prof::snapshot()
-                .into_iter()
-                .map(|s| PhaseStat {
-                    name: s.name,
-                    calls: s.calls,
-                    nanos: s.nanos,
-                })
-                .collect()
-        };
-        #[cfg(not(feature = "obs-trace"))]
-        let phases = Vec::new();
         let secs = best_ns as f64 / 1e9;
         SchemePerf {
             scheme: scheme.label(),
@@ -167,7 +130,6 @@ pub fn measure(quick: bool) -> PerfReport {
             wall_ns: best_ns,
             cycles_per_sec: cycles as f64 / secs,
             ns_per_packet: best_ns as f64 / delivered.max(1) as f64,
-            phases,
         }
     });
     let total_cycles: u64 = schemes.iter().map(|s| s.simulated_cycles).sum();
@@ -209,11 +171,6 @@ pub fn validate(report: &PerfReport) -> Result<(), String> {
         }
         if s.simulated_cycles == 0 || s.delivered_packets == 0 {
             return Err(format!("{}: empty sweep", s.scheme));
-        }
-        for p in &s.phases {
-            if p.name.is_empty() || p.calls == 0 {
-                return Err(format!("{}: malformed phase entry", s.scheme));
-            }
         }
     }
     Ok(())
@@ -271,7 +228,6 @@ mod tests {
                 wall_ns: 1000,
                 cycles_per_sec: total,
                 ns_per_packet: 100.0,
-                phases: Vec::new(),
             }],
         }
     }
@@ -316,14 +272,16 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_malformed_phase_entries() {
-        let mut r = dummy(1e6);
-        r.schemes[0].phases.push(PhaseStat {
-            name: "phase_arrival".into(),
-            calls: 0,
-            nanos: 12,
-        });
-        assert!(validate(&r).is_err());
+    fn baseline_with_legacy_phase_lists_still_loads() {
+        // Baselines written while the span profiler existed carry a
+        // per-scheme `"phases"` list; unknown fields are skipped on load.
+        let s = serde_json::to_string(&dummy(1e6)).unwrap().replace(
+            "\"ns_per_packet\"",
+            "\"phases\":[{\"name\":\"phase_acks\",\"calls\":1,\"nanos\":2}],\"ns_per_packet\"",
+        );
+        assert!(s.contains("phases"));
+        let back: PerfReport = serde_json::from_str(&s).unwrap();
+        assert!(validate(&back).is_ok());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! replay-exactness contract).
 
 use crate::executor::Fleet;
-use crate::spec::SweepBase;
+use crate::spec::{validate_windows, SweepBase};
 use pnoc_noc::config::{NetworkConfig, Scheme};
 use pnoc_noc::RunSummary;
 use pnoc_sim::RunPlan;
@@ -52,10 +52,7 @@ impl ReplaySpec {
         if self.shards.is_empty() {
             return Err("shards must be non-empty".into());
         }
-        if self.measure == 0 {
-            return Err("measure window must be non-zero".into());
-        }
-        Ok(())
+        validate_windows(self.warmup, self.measure, self.drain)
     }
 
     /// Total job count: schemes × shards.
@@ -176,6 +173,15 @@ mod tests {
             measure: 1_500,
             drain: 500,
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_plan_whose_total_overflows() {
+        let mut spec = small_spec(vec!["unused.ptrc".into()]);
+        spec.validate().expect("small spec valid");
+        spec.drain = u64::MAX;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

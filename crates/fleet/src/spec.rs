@@ -106,12 +106,14 @@ impl SweepSpec {
         if self.replicas == 0 {
             return Err("replicas must be at least 1".into());
         }
-        if self.measure == 0 {
-            return Err("measure window must be non-zero".into());
-        }
+        validate_windows(self.warmup, self.measure, self.drain)?;
+        // The Bernoulli injector fires at most once per core per cycle, so
+        // a rate above 1 would run at 1 while being reported as asked.
         for &r in &self.rates {
-            if !r.is_finite() || r < 0.0 {
-                return Err(format!("invalid injection rate {r}"));
+            if !(0.0..=1.0).contains(&r) {
+                return Err(format!(
+                    "invalid injection rate {r} (must be in [0, 1] packets/cycle/core)"
+                ));
             }
         }
         Ok(())
@@ -191,6 +193,22 @@ impl SweepSpec {
     }
 }
 
+/// Check a run's cycle windows: the measure window must be non-zero and
+/// `warmup + measure + drain` must fit a `u64` (a wrapped total would run
+/// a near-empty plan and still report it complete).
+pub(crate) fn validate_windows(warmup: u64, measure: u64, drain: u64) -> Result<(), String> {
+    if measure == 0 {
+        return Err("measure window must be non-zero".into());
+    }
+    warmup
+        .checked_add(measure)
+        .and_then(|t| t.checked_add(drain))
+        .map(|_| ())
+        .ok_or_else(|| {
+            format!("warmup {warmup} + measure {measure} + drain {drain} overflows u64 cycles")
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +277,27 @@ mod tests {
         let mut spec = SweepSpec::demo();
         spec.rates.push(f64::NAN);
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_plan_whose_total_overflows() {
+        let mut spec = SweepSpec::demo();
+        spec.warmup = u64::MAX;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        let mut spec = SweepSpec::demo();
+        spec.warmup = u64::MAX - spec.measure - spec.drain;
+        spec.validate().expect("a total of exactly u64::MAX fits");
+    }
+
+    #[test]
+    fn validation_rejects_rates_above_one_packet_per_cycle() {
+        let mut spec = SweepSpec::demo();
+        spec.rates = vec![5.0];
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("[0, 1]"), "{err}");
+        spec.rates = vec![0.0, 1.0];
+        spec.validate().expect("the closed range [0, 1] is valid");
     }
 
     #[test]

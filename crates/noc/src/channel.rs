@@ -254,7 +254,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 
     /// Snapshot the channel's queue state for the occupancy time-series
-    /// (read-only; usable with or without the `obs-trace` feature).
+    /// (read-only).
     pub fn occupancy_sample(&self, now: Cycle) -> pnoc_obs::ChannelSample {
         pnoc_obs::ChannelSample::new(
             now,
@@ -293,7 +293,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
 
     /// Phase 2: the home inspects the slot at its segment.
     pub fn phase_arrival(&mut self, now: Cycle, m: &mut NetworkMetrics) {
-        let _span = crate::spans::span("phase_arrival");
         // Take the flit once; the circulation path puts it back. (Take-once
         // keeps this per-cycle path free of unwrap/expect — determinism lint
         // `no-hot-path-unwrap`.)
@@ -420,7 +419,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// Phase 3: handshakes reach their senders, and expired ACK timers fire.
     /// A statically-folded no-op for schemes without a handshake channel.
     pub fn phase_acks(&mut self, now: Cycle, m: &mut NetworkMetrics) {
-        let _span = crate::spans::span("phase_acks");
         self.flow.phase_acks(
             now,
             self.home,
@@ -441,7 +439,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// active-sender list, pre-sorted by downstream distance — the loop is
     /// a word scan, with no per-cycle sort and no compaction.
     pub fn phase_transmit(&mut self, now: Cycle, m: &mut NetworkMetrics) {
-        let _span = crate::spans::span("phase_transmit");
         if !self.planes.granted.any() {
             return;
         }
@@ -512,7 +509,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// Phase 5: token emission, sweeping, grabbing, reimbursement — all
     /// delegated to the arbiter/flow pairing resolved at construction.
     pub fn phase_tokens(&mut self, now: Cycle, m: &mut NetworkMetrics) {
-        let _span = crate::spans::span("phase_tokens");
         if let Some(ctl) = self.admission.as_mut() {
             ctl.tick(now);
         }
@@ -543,7 +539,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         m: &mut NetworkMetrics,
         deliveries: &mut Vec<Delivery>,
     ) {
-        let _span = crate::spans::span("phase_eject");
         // Flits leaving the ejection router release their buffer slots; only
         // now does a freed slot become a reimbursable credit.
         if self.releases.is_empty() {

@@ -83,10 +83,9 @@ pub struct Fabric<L> {
     deliveries: Vec<Delivery>,
     next_id: u64,
     gen_buf: Vec<InjectionRequest>,
-    /// Live injection subscriber (`obs-trace` feature); `None` until
-    /// [`Fabric::attach_recorder`] is called. Sees every injection in
-    /// simulation order — the capture surface for trace recording.
-    #[cfg(feature = "obs-trace")]
+    /// Live injection subscriber; `None` until [`Fabric::attach_recorder`]
+    /// is called. Sees every injection in simulation order — the capture
+    /// surface for trace recording.
     recorder: Option<Box<dyn pnoc_obs::InjectSubscriber>>,
 }
 
@@ -103,7 +102,6 @@ impl<L: Layer> Fabric<L> {
             deliveries: Vec::new(),
             next_id: 0,
             gen_buf: Vec::new(),
-            #[cfg(feature = "obs-trace")]
             recorder: None,
         })
     }
@@ -131,7 +129,6 @@ impl<L: Layer> Fabric<L> {
     /// [`Fabric::detach_recorder`], every injection is forwarded to the
     /// subscriber synchronously, in simulation order. Replaces any
     /// previously attached subscriber (returned to the caller).
-    #[cfg(feature = "obs-trace")]
     pub fn attach_recorder(
         &mut self,
         recorder: Box<dyn pnoc_obs::InjectSubscriber>,
@@ -142,7 +139,6 @@ impl<L: Layer> Fabric<L> {
     /// Detach and return the attached injection subscriber, if any (use
     /// [`pnoc_obs::InjectSubscriber::into_any`] to recover the concrete
     /// type and finish its output).
-    #[cfg(feature = "obs-trace")]
     pub fn detach_recorder(&mut self) -> Option<Box<dyn pnoc_obs::InjectSubscriber>> {
         self.recorder.take()
     }
@@ -211,19 +207,8 @@ impl<L: Layer> Fabric<L> {
         }
         self.metrics
             .trace(now, dst_node, src_node, id, pnoc_obs::EventKind::Inject);
-        #[cfg(feature = "obs-trace")]
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.on_inject(pnoc_obs::InjectRecord {
-                cycle: now,
-                src_core: crate::convert::narrow_u32(src_core),
-                dst_node: crate::convert::narrow_u32(dst_node),
-                kind: match kind {
-                    PacketKind::Request => pnoc_obs::InjectKind::Request,
-                    PacketKind::Reply => pnoc_obs::InjectKind::Reply,
-                    PacketKind::Data => pnoc_obs::InjectKind::Data,
-                },
-                class,
-            });
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            record_injection(rec, &pkt);
         }
         self.inject_cal
             .schedule(now + self.layer.router_latency(), pkt);
@@ -298,6 +283,24 @@ impl<L: Layer> Fabric<L> {
             offered,
         )
     }
+}
+
+/// Forward one injection to the attached recorder. Out of line so an
+/// unrecorded run pays one predictable branch per injection.
+#[cold]
+#[inline(never)]
+fn record_injection(rec: &mut dyn pnoc_obs::InjectSubscriber, pkt: &Packet) {
+    rec.on_inject(pnoc_obs::InjectRecord {
+        cycle: pkt.generated_at,
+        src_core: pkt.src_core,
+        dst_node: pkt.dst_node,
+        kind: match pkt.kind {
+            PacketKind::Request => pnoc_obs::InjectKind::Request,
+            PacketKind::Reply => pnoc_obs::InjectKind::Reply,
+            PacketKind::Data => pnoc_obs::InjectKind::Data,
+        },
+        class: pkt.class,
+    });
 }
 
 #[cfg(test)]

@@ -68,7 +68,6 @@ pub mod packet;
 pub mod schemes;
 pub mod slots;
 pub mod sources;
-mod spans;
 pub mod swmr;
 pub mod topology;
 

@@ -77,10 +77,8 @@ pub struct NetworkMetrics {
     /// handshake schemes are immune to.
     pub credit_leaks: u64,
 
-    /// Packet-lifecycle trace sink (`obs-trace` feature). Disabled by
-    /// default even when compiled in; enable with
+    /// Packet-lifecycle trace sink. Detached by default; attach one with
     /// [`crate::Network::attach_trace`].
-    #[cfg(feature = "obs-trace")]
     pub obs: pnoc_obs::ObsSink,
 }
 
@@ -113,7 +111,6 @@ impl NetworkMetrics {
             duplicates_suppressed: 0,
             abandoned: 0,
             credit_leaks: 0,
-            #[cfg(feature = "obs-trace")]
             obs: pnoc_obs::ObsSink::default(),
         }
     }
@@ -147,9 +144,8 @@ impl NetworkMetrics {
         self.class_latency_rec[c].record(lat);
     }
 
-    /// Record a packet-lifecycle trace event (`obs-trace` builds with a
-    /// trace attached; a no-op branch otherwise).
-    #[cfg(feature = "obs-trace")]
+    /// Record a packet-lifecycle trace event into the attached trace, if
+    /// any. Detached (the default), this is one predictable branch.
     #[inline]
     pub fn trace(
         &mut self,
@@ -161,21 +157,6 @@ impl NetworkMetrics {
     ) {
         self.obs
             .emit(pnoc_obs::Event::new(cycle, channel, node, packet, kind));
-    }
-
-    /// Traces-off twin of [`NetworkMetrics::trace`]: compiles to nothing, so
-    /// hook call sites cost the default build zero cycles.
-    #[cfg(not(feature = "obs-trace"))]
-    #[inline(always)]
-    #[allow(clippy::unused_self)]
-    pub fn trace(
-        &mut self,
-        _cycle: Cycle,
-        _channel: usize,
-        _node: usize,
-        _packet: u64,
-        _kind: pnoc_obs::EventKind,
-    ) {
     }
 
     /// Retransmissions (NACK- plus timeout-triggered) per ring transmission.

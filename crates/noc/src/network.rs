@@ -117,9 +117,8 @@ pub struct Mwsr {
     /// Scratch pending-injection ids for the sampled audit.
     #[cfg(feature = "verify-invariants")]
     audit_pending: Vec<u64>,
-    /// Per-channel occupancy time-series sampler (`obs-trace` feature);
-    /// `None` until [`Network::attach_sampler`] is called.
-    #[cfg(feature = "obs-trace")]
+    /// Per-channel occupancy time-series sampler; `None` until
+    /// [`Network::attach_sampler`] is called.
     sampler: Option<pnoc_obs::OccupancySampler>,
 }
 
@@ -139,7 +138,6 @@ impl Layer for Mwsr {
             audit_views: Vec::new(),
             #[cfg(feature = "verify-invariants")]
             audit_pending: Vec::new(),
-            #[cfg(feature = "obs-trace")]
             sampler: None,
         })
     }
@@ -187,13 +185,8 @@ impl Layer for Mwsr {
                 ch.phase_eject(now, metrics, deliveries);
             }
         });
-        #[cfg(feature = "obs-trace")]
         if let Some(s) = self.sampler.as_mut() {
-            if s.due(now) {
-                for_channels!(&self.channels, chs => for ch in chs {
-                    s.record(ch.occupancy_sample(now));
-                });
-            }
+            sample_channels(s, &self.channels, now);
         }
         #[cfg(feature = "verify-invariants")]
         self.audit(now, inject_cal, metrics, deliveries);
@@ -220,6 +213,18 @@ impl Layer for Mwsr {
             .iter()
             .map(|c| c.served_by_sender.as_slice())
             .collect())
+    }
+}
+
+/// Record every channel's occupancy if the sampler is due this cycle. Out
+/// of line so an unsampled run pays one predictable branch per cycle.
+#[cold]
+#[inline(never)]
+fn sample_channels(s: &mut pnoc_obs::OccupancySampler, channels: &Channels, now: Cycle) {
+    if s.due(now) {
+        for_channels!(channels, chs => for ch in chs {
+            s.record(ch.occupancy_sample(now));
+        });
     }
 }
 
@@ -295,26 +300,22 @@ impl Network {
     /// Attach a fixed-capacity packet-lifecycle event trace. Events emitted
     /// before attachment are not recorded; once `capacity` events are held
     /// the oldest are overwritten (the drop count is reported on export).
-    #[cfg(feature = "obs-trace")]
     pub fn attach_trace(&mut self, capacity: usize) {
         self.metrics.obs.attach(capacity);
     }
 
     /// The attached event trace, if any.
-    #[cfg(feature = "obs-trace")]
     pub fn trace(&self) -> Option<&pnoc_obs::RingTrace> {
         self.metrics.obs.trace()
     }
 
     /// Attach a per-channel occupancy sampler that records every channel's
     /// occupancy/queue/setaside/credit/token state every `stride` cycles.
-    #[cfg(feature = "obs-trace")]
     pub fn attach_sampler(&mut self, stride: u64) {
         self.layer.sampler = Some(pnoc_obs::OccupancySampler::new(stride));
     }
 
     /// The attached occupancy sampler, if any.
-    #[cfg(feature = "obs-trace")]
     pub fn sampler(&self) -> Option<&pnoc_obs::OccupancySampler> {
         self.layer.sampler.as_ref()
     }

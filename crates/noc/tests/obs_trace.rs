@@ -1,13 +1,13 @@
-//! Integration tests for the `obs-trace` feature: the event trace must
-//! agree with the simulator's own counters, and attaching observability
-//! must never change what the simulation computes.
-#![cfg(feature = "obs-trace")]
+//! Integration tests for run-time observation: the event trace must agree
+//! with the simulator's own counters, and attaching observability must
+//! never change what the simulation computes.
 
 use pnoc_noc::network::Network;
 use pnoc_noc::sources::SyntheticSource;
 use pnoc_noc::{NetworkConfig, Scheme};
 use pnoc_obs::EventKind;
 use pnoc_sim::RunPlan;
+use pnoc_trace::{TraceMeta, TraceRecorder, TraceWriter};
 use pnoc_traffic::pattern::TrafficPattern;
 
 fn source_for(cfg: &NetworkConfig, rate: f64) -> SyntheticSource {
@@ -64,23 +64,46 @@ fn event_counts_match_metrics_counters() {
     }
 }
 
-/// Attaching the trace and sampler must not perturb the simulation: the
-/// run summary is bit-identical with and without them.
+/// Attaching the trace, the sampler or an injection recorder must not
+/// perturb the simulation: the run summary is byte-identical with and
+/// without them.
 #[test]
 fn observation_does_not_feed_back() {
     let cfg = NetworkConfig::small(Scheme::Dhs { setaside: 2 });
-    let run = |observed: bool| {
+    let plan = RunPlan::quick();
+    let run = |observe: &dyn Fn(&mut Network)| {
         let mut net = Network::new(cfg).unwrap();
-        if observed {
-            net.attach_trace(4096);
-            net.attach_sampler(8);
-        }
+        observe(&mut net);
         let mut src = source_for(&cfg, 0.08);
-        net.run_open_loop(&mut src, RunPlan::quick())
+        let summary = net.run_open_loop(&mut src, plan);
+        (serde_json::to_string(&summary).unwrap(), net)
     };
-    let plain = serde_json::to_string(&run(false)).unwrap();
-    let observed = serde_json::to_string(&run(true)).unwrap();
+    let (plain, _) = run(&|_| {});
+    let (observed, _) = run(&|net| {
+        net.attach_trace(4096);
+        net.attach_sampler(8);
+    });
     assert_eq!(plain, observed, "observation changed the simulation");
+
+    let (recorded, mut net) = run(&|net| {
+        let meta = TraceMeta::new(
+            "feedback",
+            cfg.cores(),
+            cfg.nodes,
+            plan.warmup + plan.measure,
+        );
+        let writer = TraceWriter::new(Vec::new(), meta).unwrap();
+        net.attach_recorder(Box::new(TraceRecorder::new(writer)));
+    });
+    assert_eq!(plain, recorded, "recording changed the simulation");
+    let recorder = net
+        .detach_recorder()
+        .expect("recorder still attached")
+        .into_any()
+        .downcast::<TraceRecorder<Vec<u8>>>()
+        .expect("the attached TraceRecorder");
+    assert_eq!(recorder.recorded(), net.metrics().generated);
+    recorder.finish().expect("stream closes cleanly");
 }
 
 /// The trace itself is deterministic: two identical runs produce identical

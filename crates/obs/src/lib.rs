@@ -3,22 +3,21 @@
 //! The paper's headline figures are latency-vs-load curves that matter most
 //! *near saturation* — exactly where end-to-end averages stop explaining
 //! anything. This crate is the workspace's observability layer: structured
-//! packet-lifecycle traces, per-channel occupancy time-series, a latency
-//! recorder whose range is effectively unbounded (so tail percentiles are
-//! never silently clipped), and scoped profiling counters for the scheme
-//! pipeline's hot phases.
+//! packet-lifecycle traces, per-channel occupancy time-series, live
+//! injection subscribers, and a latency recorder whose range is effectively
+//! unbounded (so tail percentiles are never silently clipped).
 //!
 //! Design rules:
 //!
-//! * **Zero cost when disabled.** The simulator (`pnoc-noc`) calls into this
-//!   crate through `cfg`-twinned hooks behind its `obs-trace` cargo feature;
-//!   default builds compile the hooks to nothing, and the CI perf gate and
-//!   byte-identical determinism pins run on exactly that build.
+//! * **One build, attached at run time.** The simulator (`pnoc-noc`) always
+//!   compiles its trace, sampler and injection-recorder hooks; each is
+//!   detached by default and costs one predictable branch, with the
+//!   recording arm kept out of line. Any run of the shipped binary can be
+//!   traced, sampled or recorded without a rebuild.
 //! * **Observation never feeds back.** Nothing here is read by simulation
-//!   state; traces and samples are append-only outputs. This is also why the
-//!   crate sits *outside* the `pnoc-verify` `no-wall-clock` lint scope: the
-//!   [`prof`] span counters may read `Instant::now` because their output can
-//!   never perturb a run.
+//!   state; traces and samples are append-only outputs, and attaching them
+//!   leaves a run's summary byte-identical. The crate never reads the wall
+//!   clock (it sits inside the `pnoc-verify` `no-wall-clock` lint scope).
 //! * **Bounded memory.** The event trace is a fixed-capacity ring
 //!   ([`RingTrace`]), the occupancy sampler has an explicit sample cap, and
 //!   both count what they drop instead of silently truncating.
@@ -33,7 +32,6 @@
 
 pub mod event;
 pub mod latency;
-pub mod prof;
 pub mod sampler;
 pub mod subscribe;
 pub mod svg;

@@ -3,10 +3,8 @@
 //! [`RingTrace`] stores the most recent `capacity` [`Event`]s; older events
 //! are overwritten, and an explicit `dropped` counter records how many were
 //! lost so exports can never silently pretend to be complete. [`ObsSink`] is
-//! the tiny indirection the simulator holds: disabled by default, it makes
-//! `emit` a branch-on-`None` that the optimizer removes from traces-off
-//! builds entirely (the hooks themselves are additionally compiled out
-//! behind `pnoc-noc`'s `obs-trace` feature).
+//! the tiny indirection the simulator holds: detached by default, it makes
+//! `emit` one branch on `None`, with the recording arm out of line.
 
 use crate::event::{csv_header, Event};
 use serde::Serialize;
@@ -134,13 +132,21 @@ impl ObsSink {
         self.trace.as_ref()
     }
 
-    /// Record an event if tracing is attached; otherwise do nothing.
+    /// Record an event if tracing is attached; otherwise do nothing. The
+    /// recording arm is kept out of line so a detached sink costs the
+    /// caller one predictable branch.
     #[inline]
     pub fn emit(&mut self, ev: Event) {
         if let Some(t) = self.trace.as_mut() {
-            t.push(ev);
+            record(t, ev);
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn record(trace: &mut RingTrace, ev: Event) {
+    trace.push(ev);
 }
 
 #[cfg(test)]

@@ -17,10 +17,10 @@
 //!   [`std::io::ErrorKind::InvalidData`] before any event of the damaged
 //!   region is yielded; the reader never panics and never produces phantom
 //!   events.
-//! * **Record → replay, bit-identically**: [`TraceRecorder`] subscribes to
-//!   the live network's injection hook (`obs-trace` feature) and streams
-//!   every injection out as PTRC; [`StreamSource`] injects a stream back.
-//!   Because the capture boundary is *injections, not deliveries*, replay
+//! * **Record → replay, bit-identically**: [`TraceRecorder`] attaches to
+//!   the live network's injection hook at run time ([`record_run`]) and
+//!   streams every injection out as PTRC; [`StreamSource`] injects a
+//!   stream back. Because the capture boundary is *injections, not deliveries*, replay
 //!   under the same configuration and plan re-simulates the identical run:
 //!   `replay_run` reproduces the recorded [`pnoc_noc::RunSummary`]
 //!   byte-identically, fault schedules included ([`recorder`], [`source`]).
@@ -42,8 +42,6 @@ pub mod writer;
 pub use format::{frame_ranges, TraceMeta, DEFAULT_CHUNK_EVENTS, MAX_CHUNK_EVENTS, VERSION};
 pub use gen::{generate_app, generate_mix, MixSpec};
 pub use reader::StreamingTraceReader;
-#[cfg(feature = "obs-trace")]
-pub use recorder::record_run;
-pub use recorder::TraceRecorder;
+pub use recorder::{record_run, TraceRecorder};
 pub use source::{replay_run, StreamSource};
 pub use writer::{TraceWriter, WriteStats};

@@ -98,7 +98,6 @@ impl<W: Write + 'static> InjectSubscriber for TraceRecorder<W> {
 /// admits every class (the mix behind `source` is unknown here). Replaying
 /// the stream with [`crate::replay_run`] under the *same* `cfg` and `plan`
 /// reproduces the returned summary byte-identically.
-#[cfg(feature = "obs-trace")]
 pub fn record_run<W: Write + 'static>(
     cfg: pnoc_noc::NetworkConfig,
     source: &mut dyn pnoc_noc::TrafficSource,

@@ -43,22 +43,11 @@ pub struct Rule {
     pub rationale: &'static str,
 }
 
-/// Crates whose code *is* the simulation semantics: anything
-/// nondeterministic here breaks bit-reproducibility of runs.
-const SIM_STATE: &[&str] = &[
-    "crates/noc/src",
-    "crates/sim/src",
-    "crates/faults/src",
-    "crates/traffic/src",
-    "crates/trace/src",
-    "crates/cmp/src",
-    "crates/oracle/src",
-];
-
-/// [`SIM_STATE`] plus the observability crate. `pnoc-obs` never feeds back
-/// into simulation state, but its exports (event traces, occupancy CSVs,
-/// JSON dumps) are diffed in CI, so their ordering must be deterministic
-/// too.
+/// Crates whose code *is* the simulation semantics, plus the
+/// observability crate: anything nondeterministic in the former breaks
+/// bit-reproducibility of runs, and while `pnoc-obs` never feeds back into
+/// simulation state, its exports (event traces, occupancy CSVs, JSON dumps)
+/// are diffed in CI, so they must be deterministic too.
 const SIM_STATE_AND_OBS: &[&str] = &[
     "crates/noc/src",
     "crates/sim/src",
@@ -81,14 +70,10 @@ pub const RULES: &[Rule] = &[
                     runs/platforms; simulation state must use BTreeMap/BTreeSet \
                     or Vec so identical seeds give identical runs",
     },
-    // `crates/obs/src` is deliberately *outside* this scope: pnoc-obs is
-    // append-only output that simulation state never reads, so its span
-    // profiler may time phases with `Instant::now` without threatening
-    // replay. Everything the model itself executes stays in scope.
     Rule {
         id: "no-wall-clock",
         needles: &["Instant::now", "SystemTime"],
-        scope: SIM_STATE,
+        scope: SIM_STATE_AND_OBS,
         exempt: &[],
         rationale: "model code must be a pure function of (config, seed); \
                     wall-clock reads make runs unreproducible",

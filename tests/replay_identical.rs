@@ -1,5 +1,5 @@
 //! The replay-exactness contract, end to end: record a live saturated run
-//! under the `obs-trace` injection hook, replay the PTRC stream through a
+//! through the run-time injection recorder, replay the PTRC stream through a
 //! fresh network with the same configuration and plan, and require the
 //! serialized [`RunSummary`] to be **byte-identical** — for every scheme of
 //! the paper set, with and without an active fault schedule.
@@ -7,9 +7,6 @@
 //! This is the strongest statement the trace subsystem makes: the capture
 //! boundary (injections, not deliveries) plus deterministic simulation
 //! means a recorded trace is a complete, replayable description of a run.
-//! Requires `--features obs-trace` (ci.sh runs this suite explicitly).
-
-#![cfg(feature = "obs-trace")]
 
 use nanophotonic_handshake::{noc::metrics::RunSummary, prelude::*};
 use nanophotonic_handshake::{noc::SyntheticSource, trace};
