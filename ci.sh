@@ -136,9 +136,10 @@ echo "== pnoc-bench serve smoke (NDJSON protocol) =="
 # and epoch 1), run a small sweep (streams one cell line per aggregation
 # cell, then a done line), reject a mistyped set, a malformed line, a
 # line nested 100k arrays deep (past the JSON parser's depth limit, so an
-# error rather than a stack overflow) and a sweep whose warmup + measure +
-# drain overflows u64 (an error rather than an empty "complete" cell) with
-# one error line each, shut down cleanly.
+# error rather than a stack overflow), a sweep whose warmup + measure +
+# drain overflows u64 (an error rather than an empty "complete" cell) and a
+# sweep whose cells × replicas overflows u64 (an error rather than a
+# wrapped job count of 0) with one error line each, shut down cleanly.
 NESTED=$(head -c 100000 /dev/zero | tr '\0' '[')
 printf '%s\n' \
   '{"set":{"ckpt_every":4}}' \
@@ -147,6 +148,7 @@ printf '%s\n' \
   'this is not json' \
   "$NESTED" \
   '{"id":"overflow","sweep":{"base":"Small","schemes":["TokenSlot"],"patterns":["UniformRandom"],"rates":[0.05],"replicas":1,"master_seed":7,"warmup":18446744073709551615,"measure":200,"drain":50}}' \
+  '{"id":"jobs","sweep":{"base":"Small","schemes":["TokenSlot","TokenChannel"],"patterns":["UniformRandom"],"rates":[0.05],"replicas":9223372036854775808,"master_seed":7,"warmup":50,"measure":200,"drain":50}}' \
   '{"shutdown":true}' \
   | cargo run --release -q -p pnoc-bench --offline --bin serve \
   > "$FLEET_DIR/serve.ndjson"
@@ -154,8 +156,8 @@ grep -q '"ok":true,"epoch":1,"ckpt_every":4' "$FLEET_DIR/serve.ndjson"
 grep -q '"done":true' "$FLEET_DIR/serve.ndjson"
 grep -q '"complete":true' "$FLEET_DIR/serve.ndjson"
 errors=$(grep -c '"error":' "$FLEET_DIR/serve.ndjson" || true)
-if [ "$errors" -ne 4 ]; then
-  echo "serve smoke: expected 4 error lines (mistyped set, non-JSON, too deep, overflowing plan), got $errors" >&2
+if [ "$errors" -ne 5 ]; then
+  echo "serve smoke: expected 5 error lines (mistyped set, non-JSON, too deep, overflowing plan, overflowing job count), got $errors" >&2
   exit 1
 fi
 grep -q '"bye":true' "$FLEET_DIR/serve.ndjson"

@@ -8,7 +8,7 @@
 
 use pnoc_bench::figures::mean_latency_reduction;
 use pnoc_bench::{Fidelity, Table};
-use pnoc_traffic::stats::TraceStats;
+use pnoc_traffic::stats::StatsAccumulator;
 
 fn main() {
     let fid = Fidelity::from_args();
@@ -25,8 +25,14 @@ fn main() {
     ]);
     let dims = pnoc_noc::NetworkConfig::paper_default(pnoc_noc::Scheme::TokenSlot);
     for app in pnoc_traffic::apps::all_paper_apps() {
-        let trace = app.synthesize(dims.cores(), dims.nodes, 20_000, 0x00F1_6010);
-        let s = TraceStats::analyze(&trace, 64);
+        let length = 20_000;
+        let mut acc = StatsAccumulator::new(dims.cores(), dims.nodes, length, 64);
+        app.synthesize(dims.cores(), dims.nodes, length, 0x00F1_6010, |ev| {
+            acc.record(&ev);
+            Ok(())
+        })
+        .expect("the accumulator never fails");
+        let s = acc.finalize(app.name);
         wt.row_f64(
             &s.name,
             &[

@@ -6,10 +6,11 @@
 use pnoc_cmp::{workload::all_paper_workloads, CmpConfig, CmpSystem, IpcSummary};
 use pnoc_noc::metrics::RunSummary;
 use pnoc_noc::network::{run_classed_point_detailed, run_synthetic_point};
-use pnoc_noc::{AdmissionPolicy, Network, NetworkConfig, Scheme, TraceSource, MAX_CLASSES};
+use pnoc_noc::{AdmissionPolicy, Network, NetworkConfig, Scheme, MAX_CLASSES};
 use pnoc_photonics::{ComponentBudget, NetworkDims};
 use pnoc_power::{ActivityProfile, PowerBreakdown, PowerReport};
 use pnoc_sim::RunPlan;
+use pnoc_trace::{generate_app, replay_run, StreamingTraceReader, DEFAULT_CHUNK_EVENTS};
 use pnoc_traffic::classes::TenantMixKind;
 use std::sync::Arc;
 
@@ -352,10 +353,21 @@ pub fn fig10(fid: Fidelity) -> (Vec<TraceResult>, Vec<TraceResult>) {
     };
     let apps = all_paper_apps();
     let dims = NetworkConfig::paper_default(Scheme::TokenSlot);
-    // Synthesize each trace once, in parallel; traces are shared with the
-    // fleet workers through an `Arc` (workers are persistent threads).
-    let traces: Arc<Vec<_>> = Arc::new(fleet().map(apps, move |_, app| {
-        app.synthesize(dims.cores(), dims.nodes, length, 0x00F1_6010)
+    // Synthesize each trace once, in parallel, into in-memory PTRC bytes;
+    // they are shared with the fleet workers through an `Arc` (workers are
+    // persistent threads).
+    let traces: Arc<Vec<(&'static str, Vec<u8>)>> = Arc::new(fleet().map(apps, move |_, app| {
+        let (bytes, _) = generate_app(
+            app,
+            dims.cores(),
+            dims.nodes,
+            length,
+            0x00F1_6010,
+            DEFAULT_CHUNK_EVENTS,
+            Vec::new(),
+        )
+        .expect("in-memory trace synthesis cannot fail");
+        (app.name, bytes)
     }));
     let groups: [Vec<(String, Scheme)>; 2] = [global_group(), distributed_group()];
     let mut out: Vec<Vec<TraceResult>> = Vec::new();
@@ -367,16 +379,16 @@ pub fn fig10(fid: Fidelity) -> (Vec<TraceResult>, Vec<TraceResult>) {
         let shared = traces.clone();
         let lat = fleet().map(jobs, move |_, &(t, scheme)| {
             let cfg = NetworkConfig::paper_default(scheme);
-            let mut net = Network::new(cfg).expect("valid config");
-            let mut src = TraceSource::new(&shared[t], cfg.cores_per_node);
-            let summary = net.run_open_loop(&mut src, plan);
-            summary.avg_latency
+            let reader = StreamingTraceReader::open(&shared[t].1[..]).expect("valid trace");
+            replay_run(cfg, reader, plan)
+                .expect("trace replays")
+                .avg_latency
         });
         let per_app = traces
             .iter()
             .enumerate()
-            .map(|(t, trace)| TraceResult {
-                app: trace.name.clone(),
+            .map(|(t, (app, _))| TraceResult {
+                app: (*app).to_string(),
                 latencies: group
                     .iter()
                     .enumerate()

@@ -39,6 +39,40 @@ fn fig12_pipeline_produces_paper_shapes() {
     assert!(rel < 0.1, "circulation energy overhead {rel}");
 }
 
+/// Fig. 10: the handshake schemes beat their baselines on the application
+/// traces, and by the most on the network-intensive NAS kernels.
+#[test]
+fn fig10_handshake_gains_peak_on_nas() {
+    let (global, distributed) = figures::fig10(Fidelity::Quick);
+    for (results, scheme, baseline, floor) in [
+        (&global, "GHS w/ Setaside", "Token Channel", 0.2),
+        (&distributed, "DHS", "Token Slot", 0.05),
+    ] {
+        assert_eq!(results.len(), 13, "all thirteen applications replayed");
+        assert_eq!(results[0].latencies[0].0, baseline);
+        let idx = results[0]
+            .latencies
+            .iter()
+            .position(|(label, _)| label == scheme)
+            .expect("scheme column");
+        let reduction = figures::mean_latency_reduction(results, idx);
+        assert!(
+            reduction > floor,
+            "{scheme} vs {baseline}: mean reduction {reduction}"
+        );
+        let gain = |r: &figures::TraceResult| 1.0 - r.latencies[idx].1 / r.latencies[0].1;
+        let best = results
+            .iter()
+            .max_by(|a, b| gain(a).total_cmp(&gain(b)))
+            .expect("non-empty");
+        assert!(
+            best.app == "nas.cg" || best.app == "nas.is",
+            "{scheme} vs {baseline}: largest gain on {}",
+            best.app
+        );
+    }
+}
+
 #[test]
 fn fig11_setaside_study_shows_small_buffers_suffice() {
     let rows = figures::fig11_setaside(Fidelity::Quick);

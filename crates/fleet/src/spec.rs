@@ -106,6 +106,16 @@ impl SweepSpec {
         if self.replicas == 0 {
             return Err("replicas must be at least 1".into());
         }
+        if self.checked_total_jobs().is_none() {
+            return Err(format!(
+                "{} schemes × {} patterns × {} rates × {} mixes × {} replicas overflows the job count",
+                self.schemes.len(),
+                self.patterns.len(),
+                self.rates.len(),
+                self.mix_count(),
+                self.replicas
+            ));
+        }
         validate_windows(self.warmup, self.measure, self.drain)?;
         // The Bernoulli injector fires at most once per core per cycle, so
         // a rate above 1 would run at 1 while being reported as asked.
@@ -138,9 +148,19 @@ impl SweepSpec {
         self.schemes.len() * self.patterns.len() * self.rates.len() * self.mix_count()
     }
 
-    /// Total job count: cells × replicas.
+    /// Total job count: cells × replicas. [`SweepSpec::validate`] rejects
+    /// specs where either product overflows.
     pub fn total_jobs(&self) -> u64 {
         self.cells() as u64 * self.replicas
+    }
+
+    /// `cells × replicas`, or `None` if the cell product or the job count
+    /// overflows.
+    fn checked_total_jobs(&self) -> Option<u64> {
+        let cells = [self.patterns.len(), self.rates.len(), self.mix_count()]
+            .into_iter()
+            .try_fold(self.schemes.len(), usize::checked_mul)?;
+        u64::try_from(cells).ok()?.checked_mul(self.replicas)
     }
 
     /// The cell a job index belongs to.
@@ -288,6 +308,20 @@ mod tests {
         let mut spec = SweepSpec::demo();
         spec.warmup = u64::MAX - spec.measure - spec.drain;
         spec.validate().expect("a total of exactly u64::MAX fits");
+    }
+
+    #[test]
+    fn validation_rejects_a_job_count_that_overflows() {
+        let mut spec = SweepSpec::demo();
+        spec.schemes = vec![Scheme::TokenSlot, Scheme::TokenChannel];
+        spec.rates = vec![0.05];
+        spec.replicas = 1 << 63;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("overflows the job count"), "{err}");
+        spec.replicas = u64::MAX / 2;
+        spec.validate()
+            .expect("2 cells × u64::MAX / 2 replicas fits");
+        assert_eq!(spec.total_jobs(), u64::MAX - 1);
     }
 
     #[test]

@@ -81,6 +81,6 @@ pub use network::Network;
 pub use packet::{Packet, PacketKind};
 pub use pnoc_faults::{FaultConfig, RecoveryConfig};
 pub use pnoc_traffic::{ClassId, MAX_CLASSES};
-pub use sources::{ClassedSource, SyntheticSource, TraceSource, TrafficSource};
+pub use sources::{ClassedSource, SyntheticSource, TrafficSource};
 pub use swmr::{SwmrConfig, SwmrFlowControl, SwmrNetwork};
 pub use topology::Topology;

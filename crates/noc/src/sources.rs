@@ -5,7 +5,6 @@ use pnoc_sim::{Cycle, SimRng};
 use pnoc_traffic::classes::{TenantMixKind, TenantSpec};
 use pnoc_traffic::injection::BernoulliInjector;
 use pnoc_traffic::pattern::TrafficPattern;
-use pnoc_traffic::trace::{MessageKind, Trace, TraceCursor};
 use pnoc_traffic::ClassId;
 
 /// A request to inject one packet:
@@ -105,45 +104,6 @@ impl TrafficSource for SyntheticSource {
     }
 }
 
-/// Replays a [`Trace`] (the application-trace experiments of Fig. 10).
-#[derive(Debug, Clone)]
-pub struct TraceSource<'a> {
-    cursor: TraceCursor<'a>,
-    cores_per_node: usize,
-}
-
-impl<'a> TraceSource<'a> {
-    /// Replay `trace` on a network with `cores_per_node`-way concentration.
-    pub fn new(trace: &'a Trace, cores_per_node: usize) -> Self {
-        Self {
-            cursor: trace.cursor(),
-            cores_per_node,
-        }
-    }
-}
-
-impl TrafficSource for TraceSource<'_> {
-    fn generate(&mut self, now: Cycle, out: &mut Vec<InjectionRequest>) {
-        for ev in self.cursor.events_at(now) {
-            let src_node = ev.src_core / self.cores_per_node;
-            if src_node == ev.dst_node {
-                // Local delivery bypasses the optical network.
-                continue;
-            }
-            let kind = match ev.kind {
-                MessageKind::Request => PacketKind::Request,
-                MessageKind::Reply => PacketKind::Reply,
-                MessageKind::Data => PacketKind::Data,
-            };
-            out.push((ev.src_core, ev.dst_node, kind, ev.class));
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cursor.exhausted()
-    }
-}
-
 /// Multi-tenant traffic: one independent [`SyntheticSource`] per tenant of a
 /// [`TenantMixKind`], each tagging its packets with the tenant's class.
 ///
@@ -227,7 +187,6 @@ impl TrafficSource for ClassedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnoc_traffic::trace::TraceEvent;
 
     #[test]
     fn synthetic_rate_and_destinations() {
@@ -257,42 +216,6 @@ mod tests {
         };
         assert_eq!(collect(1), collect(1));
         assert_ne!(collect(1), collect(2));
-    }
-
-    #[test]
-    fn trace_source_replays_and_skips_local() {
-        let mut trace = Trace::new("t", 8, 4, 100);
-        // core 0 lives on node 0: send to node 0 is local (skipped).
-        trace.push(TraceEvent {
-            cycle: 3,
-            src_core: 0,
-            dst_node: 0,
-            kind: MessageKind::Request,
-            class: 0,
-        });
-        trace.push(TraceEvent {
-            cycle: 3,
-            src_core: 0,
-            dst_node: 2,
-            kind: MessageKind::Request,
-            class: 0,
-        });
-        trace.push(TraceEvent {
-            cycle: 7,
-            src_core: 5,
-            dst_node: 1,
-            kind: MessageKind::Reply,
-            class: 0,
-        });
-        let mut src = TraceSource::new(&trace, 2);
-        let mut out = Vec::new();
-        for t in 0..10 {
-            src.generate(t, &mut out);
-        }
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], (0, 2, PacketKind::Request, 0));
-        assert_eq!(out[1], (5, 1, PacketKind::Reply, 0));
-        assert!(src.exhausted());
     }
 
     #[test]

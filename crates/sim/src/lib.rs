@@ -35,4 +35,4 @@ pub use exact::ExactSum;
 pub use plan::{Phase, RunPlan};
 pub use rangeset::{IndexRange, RangeSet};
 pub use rng::SimRng;
-pub use stats::{exact_quantile, Histogram, RateMeter, Running};
+pub use stats::{exact_quantile, Histogram, Running};

@@ -238,51 +238,6 @@ pub fn exact_quantile(samples: &[f64], q: f64) -> f64 {
     sorted[target - 1]
 }
 
-/// Counts events over a known time window and reports a per-cycle rate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RateMeter {
-    events: u64,
-    cycles: u64,
-}
-
-impl RateMeter {
-    /// An empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Account for elapsed observation time.
-    #[inline]
-    pub fn observe_cycles(&mut self, cycles: u64) {
-        self.cycles += cycles;
-    }
-
-    /// Events per cycle; `NaN` before any time is observed.
-    pub fn rate(&self) -> f64 {
-        if self.cycles == 0 {
-            f64::NAN
-        } else {
-            self.events as f64 / self.cycles as f64
-        }
-    }
-
-    /// Total events recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Total cycles observed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
 /// Jain's fairness index over per-entity service counts:
 /// `(Σx)² / (n · Σx²)`. 1.0 = perfectly fair, `1/n` = one entity hogs all.
 ///
@@ -413,22 +368,6 @@ mod tests {
         h.record(2.9);
         // both land in bin 2 => midpoint 2.5
         assert!((h.binned_mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_meter() {
-        let mut m = RateMeter::new();
-        m.add(10);
-        m.observe_cycles(100);
-        assert!((m.rate() - 0.1).abs() < 1e-12);
-        assert_eq!(m.events(), 10);
-    }
-
-    #[test]
-    fn rate_meter_no_time_is_nan() {
-        let mut m = RateMeter::new();
-        m.add(5);
-        assert!(m.rate().is_nan());
     }
 
     #[test]

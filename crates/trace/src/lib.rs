@@ -2,9 +2,7 @@
 //!
 //! The paper's evaluation is trace-driven: Simics captures of 13
 //! multithreaded benchmarks replayed through the photonic interconnect.
-//! The workspace's original stand-in — a JSON-lines [`pnoc_traffic::Trace`]
-//! materialized whole in memory — is fine for smoke figures and useless as
-//! a production data path. This crate is that data path:
+//! This crate is the workspace's one trace data path:
 //!
 //! * **`PTRC`**, a compact binary trace format: framed header with the
 //!   trace dimensions and tenant-class table, delta-encoded cycle stamps

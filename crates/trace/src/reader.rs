@@ -5,7 +5,7 @@ use crate::format::{
     MAX_CHUNK_PAYLOAD,
 };
 use pnoc_sim::Cycle;
-use pnoc_traffic::{Trace, TraceEvent, MAX_CLASSES};
+use pnoc_traffic::{TraceEvent, MAX_CLASSES};
 use std::io::{self, Read};
 
 /// Iterates the events of a PTRC stream one chunk at a time.
@@ -83,13 +83,6 @@ impl<R: Read> StreamingTraceReader<R> {
     /// Events yielded so far.
     pub fn events_read(&self) -> u64 {
         self.events_seen
-    }
-
-    /// Drain the remaining events into a materialized [`Trace`] (the
-    /// compatibility path for in-memory consumers).
-    pub fn collect_trace(self) -> io::Result<Trace> {
-        let meta = self.meta.clone();
-        Trace::from_stream(meta.name, meta.cores, meta.nodes, meta.length, self)
     }
 
     /// Read one frame (tag + length + payload + CRC) into `self.frame` and
@@ -342,16 +335,6 @@ mod tests {
             let back: Vec<TraceEvent> = r.map(|e| e.unwrap()).collect();
             assert_eq!(back, events, "chunk size {chunk_size}");
         }
-    }
-
-    #[test]
-    fn collect_trace_matches_push() {
-        let (events, bytes) = sample_bytes(4);
-        let r = StreamingTraceReader::open(bytes.as_slice()).unwrap();
-        let trace = r.collect_trace().unwrap();
-        assert_eq!(trace.events(), events.as_slice());
-        assert_eq!(trace.cores, 8);
-        assert_eq!(trace.nodes, 4);
     }
 
     #[test]

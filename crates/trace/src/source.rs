@@ -7,9 +7,9 @@ use pnoc_sim::{Cycle, RunPlan};
 use pnoc_traffic::{MessageKind, TraceEvent};
 use std::io::{self, Read};
 
-/// A [`TrafficSource`] that replays a PTRC stream in bounded memory — the
-/// streaming analogue of [`pnoc_noc::TraceSource`], with identical
-/// injection semantics: local (same-node) events are skipped, message kinds
+/// A [`TrafficSource`] that replays a PTRC stream in bounded memory (the
+/// application-trace experiments of Fig. 10). Local (same-node) events are
+/// skipped, since local delivery bypasses the optical network; message kinds
 /// map one-to-one onto packet kinds, and the event's class rides along.
 ///
 /// `generate` has no error channel, so the first read error is latched
@@ -74,7 +74,7 @@ impl<R: Read> TrafficSource for StreamSource<R> {
             self.pending = None;
             if ev.cycle < now {
                 // Caller jumped ahead; skipped cycles' events are skipped
-                // too (TraceCursor semantics).
+                // too.
                 continue;
             }
             let src_node = ev.src_core / self.cores_per_node;
@@ -152,9 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_source_matches_trace_source_semantics() {
-        // Mirror of pnoc-noc's trace_source_replays_and_skips_local test:
-        // core 0 lives on node 0, so the first event is local and skipped.
+    fn stream_source_replays_and_skips_local() {
+        // Core 0 lives on node 0, so the first event is local and skipped.
         let meta = TraceMeta::new("t", 8, 4, 100);
         let events = [
             TraceEvent {

@@ -93,9 +93,8 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Append one event. Events must be cycle-ordered and respect the
-    /// header's dimensions and class table (same contract as
-    /// [`pnoc_traffic::Trace::push`]; violations are programming errors and
-    /// panic). Errors are I/O errors from the underlying sink.
+    /// header's dimensions and class table (violations are programming
+    /// errors and panic). Errors are I/O errors from the underlying sink.
     pub fn push(&mut self, ev: &TraceEvent) -> io::Result<()> {
         assert!(ev.src_core < self.meta.cores, "src core out of range");
         assert!(ev.dst_node < self.meta.nodes, "dst node out of range");

@@ -5,17 +5,18 @@
 //! freqmine, streamcluster, swaptions (PARSEC); FFT, LU, radix (SPLASH-2);
 //! NAS parallel benchmarks; SPECjbb 2000. We cannot run Simics, so each
 //! workload is described by an [`AppProfile`] — injection intensity,
-//! burstiness, and destination skew — and synthesized into a [`Trace`]
-//! deterministically. The profiles are calibrated to the qualitative facts
-//! the paper reports: real-application injection rates are far below
-//! synthetic saturation, NAS kernels are the most network-intensive (and show
-//! the largest handshake gains), and PARSEC apps the least.
+//! burstiness, and destination skew — and synthesized into a stream of
+//! [`TraceEvent`]s deterministically. The profiles are calibrated to the
+//! qualitative facts the paper reports: real-application injection rates
+//! are far below synthetic saturation, NAS kernels are the most
+//! network-intensive (and show the largest handshake gains), and PARSEC
+//! apps the least.
 //!
 //! Each cache-miss *request* also synthesizes the matching *reply* from the
 //! L2 bank after a fixed service latency, so reply channels see load too —
 //! as they would with real S-NUCA traffic.
 
-use crate::trace::{MessageKind, Trace, TraceEvent};
+use crate::trace::{MessageKind, TraceEvent};
 use pnoc_sim::{Cycle, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -88,89 +89,15 @@ impl AppProfile {
     }
 
     /// Synthesize a deterministic trace for `cores` cores on `nodes` nodes
-    /// over `length` cycles.
-    pub fn synthesize(&self, cores: usize, nodes: usize, length: Cycle, seed: u64) -> Trace {
-        assert!(cores >= nodes, "expect concentration: cores >= nodes");
-        let mut root = SimRng::seed_from(seed ^ hash_name(self.name));
-        // Hot banks are a deterministic function of the workload.
-        let mut hot: Vec<usize> = Vec::with_capacity(self.hot_nodes);
-        while hot.len() < self.hot_nodes.min(nodes) {
-            let candidate = root.index(nodes);
-            if !hot.contains(&candidate) {
-                hot.push(candidate);
-            }
-        }
-
-        // Application-wide phase gate: all cores communicate (or compute)
-        // together, as barrier-synchronized kernels do.
-        let phase_open: Vec<bool> = if self.phase_on > 0.0 && self.phase_off > 0.0 {
-            let mut rng = root.fork(u64::MAX);
-            let mut gate =
-                crate::injection::OnOffInjector::new(1.0, self.phase_on, self.phase_off, &mut rng);
-            (0..length).map(|_| gate.fire(&mut rng) > 0).collect()
-        } else {
-            vec![true; length as usize]
-        };
-
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for core in 0..cores {
-            let mut rng = root.fork(core as u64);
-            let mut inj = crate::injection::OnOffInjector::new(
-                self.burst_rate,
-                self.mean_on,
-                self.mean_off,
-                &mut rng,
-            );
-            let src_node = core * nodes / cores;
-            for cycle in 0..length {
-                if !phase_open[cycle as usize] {
-                    continue;
-                }
-                for _ in 0..inj.fire(&mut rng) {
-                    let dst = self.pick_destination(src_node, nodes, &hot, &mut rng);
-                    events.push(TraceEvent {
-                        cycle,
-                        src_core: core,
-                        dst_node: dst,
-                        kind: MessageKind::Request,
-                        class: 0,
-                    });
-                    // Matching reply from the bank back to the requester's
-                    // node, issued by a core co-located with the bank.
-                    let reply_cycle = cycle + self.l2_service;
-                    if reply_cycle < length && dst != src_node {
-                        let bank_core = dst * cores / nodes;
-                        events.push(TraceEvent {
-                            cycle: reply_cycle,
-                            src_core: bank_core,
-                            dst_node: src_node,
-                            kind: MessageKind::Reply,
-                            class: 0,
-                        });
-                    }
-                }
-            }
-        }
-        events.sort_by_key(|e| e.cycle);
-        let mut trace = Trace::new(self.name, cores, nodes, length);
-        for ev in events {
-            trace.push(ev);
-        }
-        trace
-    }
-
-    /// Streaming [`AppProfile::synthesize`]: emits events cycle-by-cycle to a
-    /// callback instead of materializing a [`Trace`], holding only O(cores)
-    /// generator state plus the in-flight reply window — a multi-GB trace
-    /// costs the same memory as a toy one.
+    /// over `length` cycles, emitting events to `emit` cycle by cycle.
     ///
-    /// Draws the *same RNG streams* as `synthesize` (same root, same phase
-    /// gate, same per-core forks), so the two produce the identical multiset
-    /// of events per cycle; only within-cycle emission order differs
-    /// (streaming emits due replies first, then cores in index order, where
-    /// `synthesize`'s stable sort keeps per-core blocks). Events reach the
-    /// callback in non-decreasing cycle order. Returns the event count.
-    pub fn synthesize_streaming<E>(
+    /// Holds only O(cores) generator state plus the in-flight reply window,
+    /// so a multi-GB trace costs the same memory as a toy one. Events reach
+    /// the callback in non-decreasing cycle order; within a cycle, due
+    /// replies come first, then each core's requests in core order. The
+    /// first callback error aborts synthesis and is returned. Returns the
+    /// event count.
+    pub fn synthesize<E>(
         &self,
         cores: usize,
         nodes: usize,
@@ -186,7 +113,7 @@ impl AppProfile {
 
         assert!(cores >= nodes, "expect concentration: cores >= nodes");
         let mut root = SimRng::seed_from(seed ^ hash_name(self.name));
-        // Setup draws in the exact order `synthesize` makes them.
+        // Hot banks are a deterministic function of the workload.
         let mut hot: Vec<usize> = Vec::with_capacity(self.hot_nodes);
         while hot.len() < self.hot_nodes.min(nodes) {
             let candidate = root.index(nodes);
@@ -194,9 +121,10 @@ impl AppProfile {
                 hot.push(candidate);
             }
         }
-        // `fork` advances the parent stream, so the phase fork must stay
-        // conditional exactly as in `synthesize` or the per-core forks of
-        // non-phased apps would diverge.
+        // Application-wide phase gate: all cores communicate (or compute)
+        // together, as barrier-synchronized kernels do. `fork` advances the
+        // parent stream, so keep this fork conditional: moving it would
+        // shift every per-core stream below.
         let mut phase_gate = if self.phase_on > 0.0 && self.phase_off > 0.0 {
             let mut rng = root.fork(u64::MAX);
             let gate =
@@ -417,56 +345,72 @@ mod tests {
         assert!(nas_min > parsec_max, "NAS must out-inject PARSEC");
     }
 
+    /// Collect a synthesis into memory, checking the returned count.
+    fn events(
+        app: &AppProfile,
+        cores: usize,
+        nodes: usize,
+        length: Cycle,
+        seed: u64,
+    ) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        let n = app
+            .synthesize(cores, nodes, length, seed, |ev| {
+                out.push(ev);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(n as usize, out.len(), "returned count matches emissions");
+        out
+    }
+
     #[test]
     fn synthesize_is_deterministic() {
         let app = paper_app("fft").unwrap();
-        let a = app.synthesize(32, 8, 2_000, 7);
-        let b = app.synthesize(32, 8, 2_000, 7);
+        let a = events(&app, 32, 8, 2_000, 7);
+        let b = events(&app, 32, 8, 2_000, 7);
         assert_eq!(a, b);
-        let c = app.synthesize(32, 8, 2_000, 8);
+        let c = events(&app, 32, 8, 2_000, 8);
         assert_ne!(a, c, "different seeds give different traces");
     }
 
     #[test]
     fn synthesized_rate_tracks_profile() {
         let app = paper_app("nas.is").unwrap();
-        let t = app.synthesize(64, 16, 30_000, 3);
+        let (cores, length) = (64, 30_000);
+        let t = events(&app, cores, 16, length, 3);
         // Trace rate counts requests + replies ≈ 2 × request rate.
         let expected = 2.0 * app.mean_rate();
-        let measured = t.rate_per_core();
+        let measured = t.len() as f64 / length as f64 / cores as f64;
         assert!(
             (measured - expected).abs() < expected * 0.35,
             "measured {measured}, expected ~{expected}"
         );
     }
 
+    /// Events are in range and cycle-ordered, for a phased and a non-phased
+    /// app (the phase fork is conditional, so both setup paths run).
     #[test]
     fn events_valid_and_ordered() {
-        let app = paper_app("blackscholes").unwrap();
-        let t = app.synthesize(16, 4, 5_000, 1);
-        let mut last = 0;
-        for ev in t.events() {
-            assert!(ev.cycle >= last);
-            last = ev.cycle;
-            assert!(ev.src_core < 16);
-            assert!(ev.dst_node < 4);
+        for name in ["blackscholes", "fft"] {
+            let app = paper_app(name).unwrap();
+            let mut last = 0;
+            for ev in events(&app, 16, 4, 5_000, 1) {
+                assert!(ev.cycle >= last, "{name}: stream must be cycle-ordered");
+                last = ev.cycle;
+                assert!(ev.cycle < 5_000);
+                assert!(ev.src_core < 16);
+                assert!(ev.dst_node < 4);
+            }
         }
     }
 
     #[test]
     fn replies_follow_requests() {
         let app = paper_app("lu").unwrap();
-        let t = app.synthesize(16, 4, 5_000, 2);
-        let requests = t
-            .events()
-            .iter()
-            .filter(|e| e.kind == MessageKind::Request)
-            .count();
-        let replies = t
-            .events()
-            .iter()
-            .filter(|e| e.kind == MessageKind::Reply)
-            .count();
+        let t = events(&app, 16, 4, 5_000, 2);
+        let requests = t.iter().filter(|e| e.kind == MessageKind::Request).count();
+        let replies = t.iter().filter(|e| e.kind == MessageKind::Reply).count();
         assert!(replies > 0);
         assert!(replies <= requests);
         // Nearly every request gets a reply (only end-of-trace ones don't).
@@ -478,47 +422,11 @@ mod tests {
         assert!(paper_app("doom").is_none());
     }
 
-    /// `synthesize_streaming` draws the same RNG streams as `synthesize`,
-    /// so the event *multisets* are identical; only within-cycle emission
-    /// order differs. Pin that for a phased and a non-phased app (the phase
-    /// fork is conditional, and skew there would silently shift every
-    /// per-core stream).
     #[test]
-    fn streaming_matches_synthesize_as_multiset() {
-        fn key(e: &TraceEvent) -> (Cycle, usize, usize, u8) {
-            let kind = match e.kind {
-                MessageKind::Request => 0u8,
-                MessageKind::Reply => 1,
-                MessageKind::Data => 2,
-            };
-            (e.cycle, e.src_core, e.dst_node, kind)
-        }
-        for name in ["fft", "blackscholes"] {
-            let app = paper_app(name).unwrap();
-            let materialized = app.synthesize(32, 8, 3_000, 9);
-            let mut streamed: Vec<TraceEvent> = Vec::new();
-            let mut last = 0;
-            let n = app
-                .synthesize_streaming(32, 8, 3_000, 9, |ev| {
-                    assert!(ev.cycle >= last, "{name}: stream must be cycle-ordered");
-                    last = ev.cycle;
-                    streamed.push(ev);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(n as usize, materialized.len(), "{name}: event count");
-            let mut a: Vec<_> = materialized.events().to_vec();
-            a.sort_by_key(key);
-            streamed.sort_by_key(key);
-            assert_eq!(a, streamed, "{name}: event multisets must agree");
-        }
-    }
-
-    #[test]
-    fn streaming_propagates_emit_errors() {
+    fn synthesize_propagates_emit_errors() {
         let app = paper_app("fft").unwrap();
         let err = app
-            .synthesize_streaming(32, 8, 3_000, 9, |_| Err(std::io::Error::other("sink full")))
+            .synthesize(32, 8, 3_000, 9, |_| Err(std::io::Error::other("sink full")))
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::Other);
     }
@@ -528,9 +436,11 @@ mod tests {
         let mut app = paper_app("nas.cg").unwrap();
         app.hot_fraction = 0.9;
         app.hot_nodes = 1;
-        let t = app.synthesize(64, 16, 10_000, 5);
         let mut counts = vec![0u32; 16];
-        for ev in t.events().iter().filter(|e| e.kind == MessageKind::Request) {
+        for ev in events(&app, 64, 16, 10_000, 5)
+            .iter()
+            .filter(|e| e.kind == MessageKind::Request)
+        {
             counts[ev.dst_node] += 1;
         }
         let max = *counts.iter().max().unwrap();

@@ -7,8 +7,9 @@
 //!   (transpose, bit reversal, hotspot, nearest neighbour),
 //! * [`injection`] — open-loop injection processes: Bernoulli (the paper's
 //!   methodology) and an on/off bursty process used for application traces,
-//! * [`trace`] — a serializable message-trace format with replay cursors,
-//!   standing in for the paper's Simics-extracted traces,
+//! * [`trace`] — the message-trace event vocabulary (encoded, stored and
+//!   replayed as PTRC by `pnoc-trace`), standing in for the paper's
+//!   Simics-extracted traces,
 //! * [`apps`] — per-benchmark traffic profiles for the 13 applications of
 //!   Fig. 10 (SPEComp 2001, PARSEC, SPLASH-2, NAS, SPECjbb), with a
 //!   deterministic trace synthesizer. See DESIGN.md §"Substitutions" for why
@@ -32,4 +33,4 @@ pub use classes::{BurstCfg, ClassId, TenantMixKind, TenantSpec, MAX_CLASSES};
 pub use injection::{BernoulliInjector, OnOffInjector};
 pub use pattern::TrafficPattern;
 pub use stats::{StatsAccumulator, TraceStats};
-pub use trace::{MessageKind, Trace, TraceCursor, TraceEvent};
+pub use trace::{MessageKind, TraceEvent};

@@ -1,7 +1,7 @@
 //! Workload characterization: the summary numbers evaluation sections print
 //! about their traces (rate, burstiness, destination skew).
 
-use crate::trace::{MessageKind, Trace, TraceEvent};
+use crate::trace::{MessageKind, TraceEvent};
 use pnoc_sim::Cycle;
 use serde::Serialize;
 
@@ -26,23 +26,10 @@ pub struct TraceStats {
     pub hotspot_factor: f64,
 }
 
-impl TraceStats {
-    /// Characterize `trace` using `window`-cycle bins for burstiness.
-    pub fn analyze(trace: &Trace, window: u64) -> Self {
-        let mut acc = StatsAccumulator::new(trace.cores, trace.nodes, trace.length, window);
-        for ev in trace.events() {
-            acc.record(ev);
-        }
-        acc.finalize(trace.name.clone())
-    }
-}
-
 /// Single-pass [`TraceStats`] builder for streamed traces.
 ///
 /// Holds O(nodes + length/window) state independent of the event count, so
-/// a multi-GB trace can be characterized without materializing a [`Trace`].
-/// `analyze` over a materialized trace and an accumulator fed the same
-/// event stream produce identical statistics (pinned in the tests).
+/// a multi-GB trace is characterized without ever being held in memory.
 #[derive(Debug, Clone)]
 pub struct StatsAccumulator {
     cores: usize,
@@ -72,7 +59,7 @@ impl StatsAccumulator {
     }
 
     /// Fold one event in. Events must respect the dimensions given to
-    /// [`StatsAccumulator::new`] (same contract as [`Trace::push`]).
+    /// [`StatsAccumulator::new`] (`dst_node < nodes`, `cycle < length`).
     pub fn record(&mut self, ev: &TraceEvent) {
         if ev.kind == MessageKind::Request {
             self.requests += 1;
@@ -165,21 +152,32 @@ fn destination_skew(dest_counts: &[u64], total: usize) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::apps::paper_app;
-    use crate::trace::TraceEvent;
+
+    /// Characterize an event stream with `window`-cycle bins.
+    fn analyze(
+        cores: usize,
+        nodes: usize,
+        length: Cycle,
+        window: u64,
+        events: impl IntoIterator<Item = TraceEvent>,
+    ) -> TraceStats {
+        let mut acc = StatsAccumulator::new(cores, nodes, length, window);
+        for ev in events {
+            acc.record(&ev);
+        }
+        acc.finalize("t")
+    }
 
     #[test]
     fn uniform_trace_has_high_entropy_low_dispersion() {
-        let mut t = Trace::new("u", 16, 8, 1600);
-        for i in 0..1600u64 {
-            t.push(TraceEvent {
-                cycle: i,
-                src_core: (i % 16) as usize,
-                dst_node: (i % 8) as usize,
-                kind: MessageKind::Data,
-                class: 0,
-            });
-        }
-        let s = TraceStats::analyze(&t, 100);
+        let events = (0..1600u64).map(|i| TraceEvent {
+            cycle: i,
+            src_core: (i % 16) as usize,
+            dst_node: (i % 8) as usize,
+            kind: MessageKind::Data,
+            class: 0,
+        });
+        let s = analyze(16, 8, 1600, 100, events);
         assert!(
             s.destination_entropy > 0.99,
             "entropy {}",
@@ -192,17 +190,14 @@ mod tests {
 
     #[test]
     fn hot_trace_has_low_entropy() {
-        let mut t = Trace::new("h", 16, 8, 1000);
-        for i in 0..1000u64 {
-            t.push(TraceEvent {
-                cycle: i,
-                src_core: 0,
-                dst_node: 7,
-                kind: MessageKind::Request,
-                class: 0,
-            });
-        }
-        let s = TraceStats::analyze(&t, 100);
+        let events = (0..1000u64).map(|i| TraceEvent {
+            cycle: i,
+            src_core: 0,
+            dst_node: 7,
+            kind: MessageKind::Request,
+            class: 0,
+        });
+        let s = analyze(16, 8, 1000, 100, events);
         assert!(s.destination_entropy < 0.01);
         assert!((s.hotspot_factor - 8.0).abs() < 1e-9);
         assert_eq!(s.request_fraction, 1.0);
@@ -211,8 +206,15 @@ mod tests {
     #[test]
     fn bursty_app_traces_are_bursty() {
         let app = paper_app("nas.is").unwrap();
-        let trace = app.synthesize(64, 16, 20_000, 4);
-        let s = TraceStats::analyze(&trace, 50);
+        let mut acc = StatsAccumulator::new(64, 16, 20_000, 50);
+        let n = app
+            .synthesize(64, 16, 20_000, 4, |ev| {
+                acc.record(&ev);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(acc.messages() as u64, n);
+        let s = acc.finalize(app.name);
         assert!(
             s.burstiness > 2.0,
             "on/off injection must look over-dispersed, got {}",
@@ -225,52 +227,29 @@ mod tests {
     #[test]
     fn empty_trace_degenerates_to_defined_values() {
         // Zero-packet statistics must be defined, not NaN: NaN serializes
-        // as `null` and poisons any sum it is folded into downstream.
-        let t = Trace::new("e", 4, 4, 100);
-        let s = TraceStats::analyze(&t, 10);
-        assert_eq!(s.messages, 0);
-        assert_eq!(s.burstiness, 0.0, "a silent stream is not bursty");
-        assert_eq!(s.destination_entropy, 1.0, "vacuously uniform");
-        assert_eq!(s.hotspot_factor, 1.0);
-        assert_eq!(s.request_fraction, 0.0);
-    }
-
-    /// Streaming pin: an accumulator fed event-by-event (never holding the
-    /// full trace) produces byte-identical statistics to `analyze` over the
-    /// materialized trace.
-    #[test]
-    fn streamed_stats_equal_materialized_stats() {
-        let app = paper_app("fft").unwrap();
-        let trace = app.synthesize(32, 8, 5_000, 11);
-        let materialized = TraceStats::analyze(&trace, 50);
-
-        let mut acc = StatsAccumulator::new(trace.cores, trace.nodes, trace.length, 50);
-        for ev in trace.events() {
-            acc.record(ev);
+        // as `null` and poisons any sum it is folded into downstream. A
+        // zero-length trace must not divide by zero either.
+        for length in [100, 0] {
+            let s = analyze(4, 4, length, 10, []);
+            assert_eq!(s.messages, 0);
+            assert_eq!(s.rate_per_core, 0.0);
+            assert_eq!(s.burstiness, 0.0, "a silent stream is not bursty");
+            assert_eq!(s.destination_entropy, 1.0, "vacuously uniform");
+            assert_eq!(s.hotspot_factor, 1.0);
+            assert_eq!(s.request_fraction, 0.0);
         }
-        assert_eq!(acc.messages(), trace.len());
-        let streamed = acc.finalize(trace.name.clone());
-
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&materialized).unwrap(),
-            "streamed and materialized stats must agree exactly"
-        );
     }
 
     #[test]
     fn single_destination_skew_is_defined() {
-        let mut t = Trace::new("one", 1, 1, 10);
-        for i in 0..10u64 {
-            t.push(TraceEvent {
-                cycle: i,
-                src_core: 0,
-                dst_node: 0,
-                kind: MessageKind::Data,
-                class: 0,
-            });
-        }
-        let s = TraceStats::analyze(&t, 10);
+        let events = (0..10u64).map(|i| TraceEvent {
+            cycle: i,
+            src_core: 0,
+            dst_node: 0,
+            kind: MessageKind::Data,
+            class: 0,
+        });
+        let s = analyze(1, 1, 10, 10, events);
         assert_eq!(s.destination_entropy, 1.0, "one node is trivially uniform");
         assert_eq!(s.hotspot_factor, 1.0);
     }

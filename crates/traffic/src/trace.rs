@@ -1,18 +1,17 @@
-//! Message traces: the stand-in for the paper's Simics-extracted traffic.
+//! Message-trace vocabulary: the stand-in for the paper's Simics-extracted
+//! traffic.
 //!
-//! A [`Trace`] is a cycle-ordered list of [`TraceEvent`]s ("core c injects a
-//! packet for node d at cycle t"). Traces serialize to JSON-lines so they can
-//! be inspected, diffed, and replayed; [`TraceCursor`] feeds them to the
-//! simulator cycle by cycle.
+//! A trace is a cycle-ordered stream of [`TraceEvent`]s ("core c injects a
+//! packet for node d at cycle t"). The application synthesizer
+//! ([`crate::apps::AppProfile::synthesize`]) emits them and the `pnoc-trace`
+//! crate encodes, stores and replays them as PTRC.
 
-use crate::classes::{ClassId, MAX_CLASSES};
+use crate::classes::ClassId;
 use pnoc_sim::Cycle;
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
 
 /// The protocol role of a traced message (affects reply generation in the
 /// closed-loop CMP model; the open-loop NoC replay treats all kinds alike).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
     /// A cache-miss request travelling core → L2 bank.
     Request,
@@ -23,7 +22,7 @@ pub enum MessageKind {
 }
 
 /// One injected message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Injection cycle.
     pub cycle: Cycle,
@@ -33,481 +32,6 @@ pub struct TraceEvent {
     pub dst_node: usize,
     /// Protocol role.
     pub kind: MessageKind,
-    /// Traffic class (multi-tenant `QoS`; 0 = the default class). Defaulted
-    /// on deserialization so pre-class traces keep loading.
-    #[serde(default)]
+    /// Traffic class (multi-tenant `QoS`; 0 = the default class).
     pub class: ClassId,
-}
-
-/// A cycle-ordered message trace plus the dimensions it was generated for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Trace {
-    /// Human-readable workload name (e.g. `"fft"`).
-    pub name: String,
-    /// Number of cores the trace addresses.
-    pub cores: usize,
-    /// Number of nodes the trace addresses.
-    pub nodes: usize,
-    /// Total cycles the trace spans (events all satisfy `cycle < length`).
-    pub length: Cycle,
-    events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// An empty trace for the given dimensions.
-    pub fn new(name: impl Into<String>, cores: usize, nodes: usize, length: Cycle) -> Self {
-        assert!(cores > 0 && nodes > 0, "dimensions must be positive");
-        Self {
-            name: name.into(),
-            cores,
-            nodes,
-            length,
-            events: Vec::new(),
-        }
-    }
-
-    /// Append an event. Events must be pushed in non-decreasing cycle order
-    /// and respect the trace dimensions.
-    pub fn push(&mut self, ev: TraceEvent) {
-        assert!(ev.src_core < self.cores, "src core out of range");
-        assert!(ev.dst_node < self.nodes, "dst node out of range");
-        assert!(ev.cycle < self.length, "event beyond trace length");
-        assert!(usize::from(ev.class) < MAX_CLASSES, "class out of range");
-        if let Some(last) = self.events.last() {
-            assert!(ev.cycle >= last.cycle, "events must be cycle-ordered");
-        }
-        self.events.push(ev);
-    }
-
-    /// All events, cycle-ordered.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Average injection rate in packets/cycle/core.
-    ///
-    /// Degenerate traces (zero length or — via deserialization — zero
-    /// cores) report `0.0`, never NaN/inf, per the degenerate-statistics
-    /// policy: summaries carry defined values so downstream JSON and
-    /// aggregation stay well-formed.
-    pub fn rate_per_core(&self) -> f64 {
-        if self.length == 0 || self.cores == 0 {
-            return 0.0;
-        }
-        self.events.len() as f64 / self.length as f64 / self.cores as f64
-    }
-
-    /// Serialize as JSON lines: one header object, then one object per event.
-    pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        #[derive(Serialize)]
-        struct Header<'a> {
-            name: &'a str,
-            cores: usize,
-            nodes: usize,
-            length: Cycle,
-        }
-        let header = Header {
-            name: &self.name,
-            cores: self.cores,
-            nodes: self.nodes,
-            length: self.length,
-        };
-        writeln!(w, "{}", serde_json::to_string(&header)?)?;
-        for ev in &self.events {
-            writeln!(w, "{}", serde_json::to_string(ev)?)?;
-        }
-        Ok(())
-    }
-
-    /// Why an event is inconsistent with the trace it is being added to.
-    /// `None` means the event is admissible as the next event.
-    fn event_defect(&self, ev: &TraceEvent) -> Option<String> {
-        if ev.src_core >= self.cores {
-            return Some(format!(
-                "src_core {} out of range (trace has {} cores)",
-                ev.src_core, self.cores
-            ));
-        }
-        if ev.dst_node >= self.nodes {
-            return Some(format!(
-                "dst_node {} out of range (trace has {} nodes)",
-                ev.dst_node, self.nodes
-            ));
-        }
-        if ev.cycle >= self.length {
-            return Some(format!(
-                "cycle {} beyond trace length {}",
-                ev.cycle, self.length
-            ));
-        }
-        if usize::from(ev.class) >= MAX_CLASSES {
-            return Some(format!(
-                "class {} out of range (max {} classes)",
-                ev.class, MAX_CLASSES
-            ));
-        }
-        if let Some(last) = self.events.last() {
-            if ev.cycle < last.cycle {
-                return Some(format!(
-                    "cycle {} after an event at cycle {} (events must be cycle-ordered)",
-                    ev.cycle, last.cycle
-                ));
-            }
-        }
-        None
-    }
-
-    /// Deserialize from the JSON-lines format written by [`Trace::save`].
-    ///
-    /// The input is untrusted: every defect a well-formed writer cannot
-    /// produce — zero dimensions, out-of-range `src_core`/`dst_node`,
-    /// `cycle >= length`, cycle-unordered events — is reported as an
-    /// [`std::io::ErrorKind::InvalidData`] error instead of reaching
-    /// [`Trace::push`]'s asserts.
-    pub fn load<R: BufRead>(r: R) -> std::io::Result<Self> {
-        #[derive(Deserialize)]
-        struct Header {
-            name: String,
-            cores: usize,
-            nodes: usize,
-            length: Cycle,
-        }
-        let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
-        let mut lines = r.lines();
-        let header_line = lines.next().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "empty trace")
-        })??;
-        let header: Header = serde_json::from_str(&header_line)?;
-        if header.cores == 0 || header.nodes == 0 {
-            return Err(invalid(format!(
-                "trace dimensions must be positive (cores {}, nodes {})",
-                header.cores, header.nodes
-            )));
-        }
-        let mut trace = Trace::new(header.name, header.cores, header.nodes, header.length);
-        for (lineno, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let ev: TraceEvent = serde_json::from_str(&line)?;
-            if let Some(why) = trace.event_defect(&ev) {
-                return Err(invalid(format!("event on line {}: {why}", lineno + 2)));
-            }
-            trace.push(ev);
-        }
-        Ok(trace)
-    }
-
-    /// Collect a streamed event sequence into a materialized trace.
-    ///
-    /// This is the compatibility bridge between streaming readers (which
-    /// yield `io::Result<TraceEvent>` in bounded memory) and in-memory
-    /// consumers ([`TraceCursor`], [`crate::stats::analyze`]). Events are
-    /// validated with the same defect checks as [`Trace::load`]: any
-    /// out-of-range field or cycle disorder is an
-    /// [`std::io::ErrorKind::InvalidData`] error, never a panic.
-    pub fn from_stream<I>(
-        name: impl Into<String>,
-        cores: usize,
-        nodes: usize,
-        length: Cycle,
-        events: I,
-    ) -> std::io::Result<Self>
-    where
-        I: IntoIterator<Item = std::io::Result<TraceEvent>>,
-    {
-        if cores == 0 || nodes == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("trace dimensions must be positive (cores {cores}, nodes {nodes})"),
-            ));
-        }
-        let mut trace = Trace::new(name, cores, nodes, length);
-        for (index, ev) in events.into_iter().enumerate() {
-            let ev = ev?;
-            if let Some(why) = trace.event_defect(&ev) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("streamed event {index}: {why}"),
-                ));
-            }
-            trace.push(ev);
-        }
-        Ok(trace)
-    }
-
-    /// A replay cursor positioned at the start.
-    pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor {
-            trace: self,
-            next: 0,
-        }
-    }
-}
-
-/// Replays a [`Trace`] cycle by cycle.
-#[derive(Debug, Clone)]
-pub struct TraceCursor<'a> {
-    trace: &'a Trace,
-    next: usize,
-}
-
-impl<'a> TraceCursor<'a> {
-    /// All events injected at exactly cycle `now`. Must be called with
-    /// non-decreasing `now`; skipped cycles' events are skipped too.
-    pub fn events_at(&mut self, now: Cycle) -> &'a [TraceEvent] {
-        let events = self.trace.events();
-        // Skip anything earlier than `now` (caller jumped ahead).
-        while self.next < events.len() && events[self.next].cycle < now {
-            self.next += 1;
-        }
-        let start = self.next;
-        while self.next < events.len() && events[self.next].cycle == now {
-            self.next += 1;
-        }
-        &events[start..self.next]
-    }
-
-    /// Whether every event has been consumed.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.trace.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(cycle: Cycle, src_core: usize, dst_node: usize) -> TraceEvent {
-        TraceEvent {
-            cycle,
-            src_core,
-            dst_node,
-            kind: MessageKind::Request,
-            class: 0,
-        }
-    }
-
-    fn sample() -> Trace {
-        let mut t = Trace::new("unit", 8, 4, 100);
-        t.push(ev(1, 0, 1));
-        t.push(ev(1, 3, 2));
-        t.push(ev(5, 7, 0));
-        t
-    }
-
-    #[test]
-    fn push_and_rate() {
-        let t = sample();
-        assert_eq!(t.len(), 3);
-        assert!((t.rate_per_core() - 3.0 / 100.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn push_rejects_disorder() {
-        let mut t = sample();
-        t.push(ev(0, 0, 0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn push_rejects_out_of_range_core() {
-        let mut t = sample();
-        t.push(ev(6, 8, 0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn push_rejects_beyond_length() {
-        let mut t = sample();
-        t.push(ev(100, 0, 0));
-    }
-
-    #[test]
-    fn cursor_replays_in_order() {
-        let t = sample();
-        let mut c = t.cursor();
-        assert_eq!(c.events_at(0).len(), 0);
-        let at1 = c.events_at(1);
-        assert_eq!(at1.len(), 2);
-        assert_eq!(at1[0].src_core, 0);
-        assert_eq!(c.events_at(2).len(), 0);
-        assert_eq!(c.events_at(5).len(), 1);
-        assert!(c.exhausted());
-    }
-
-    #[test]
-    fn cursor_skips_jumped_cycles() {
-        let t = sample();
-        let mut c = t.cursor();
-        // Jump straight to 5: the cycle-1 events are skipped.
-        assert_eq!(c.events_at(5).len(), 1);
-        assert!(c.exhausted());
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        t.save(&mut buf).unwrap();
-        let back = Trace::load(std::io::BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn load_rejects_empty() {
-        let r = std::io::BufReader::new(&b""[..]);
-        assert!(Trace::load(r).is_err());
-    }
-
-    /// Run a corrupt fixture through `load` and assert it is *rejected* as
-    /// `InvalidData` — never a panic, which is what `Trace::push` would do.
-    fn assert_invalid(fixture: &str, expect: &str) {
-        let err = Trace::load(std::io::BufReader::new(fixture.as_bytes()))
-            .expect_err("corrupt fixture must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        let msg = err.to_string();
-        assert!(
-            msg.contains(expect),
-            "error {msg:?} should mention {expect:?}"
-        );
-    }
-
-    const FIXTURE_HEADER: &str = r#"{"name":"corrupt","cores":8,"nodes":4,"length":100}"#;
-
-    #[test]
-    fn load_rejects_out_of_range_core() {
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n",
-            r#"{"cycle":1,"src_core":8,"dst_node":0,"kind":"Request"}"#
-        );
-        assert_invalid(&fixture, "src_core 8 out of range");
-    }
-
-    #[test]
-    fn load_rejects_out_of_range_node() {
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n",
-            r#"{"cycle":1,"src_core":0,"dst_node":4,"kind":"Reply"}"#
-        );
-        assert_invalid(&fixture, "dst_node 4 out of range");
-    }
-
-    #[test]
-    fn load_rejects_event_beyond_length() {
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n",
-            r#"{"cycle":100,"src_core":0,"dst_node":0,"kind":"Data"}"#
-        );
-        assert_invalid(&fixture, "cycle 100 beyond trace length 100");
-    }
-
-    #[test]
-    fn load_rejects_cycle_disorder() {
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n{}\n",
-            r#"{"cycle":5,"src_core":0,"dst_node":0,"kind":"Request"}"#,
-            r#"{"cycle":4,"src_core":1,"dst_node":1,"kind":"Request"}"#
-        );
-        assert_invalid(&fixture, "cycle-ordered");
-    }
-
-    #[test]
-    fn load_rejects_zero_dimensions() {
-        let fixture = r#"{"name":"corrupt","cores":0,"nodes":4,"length":10}"#;
-        assert_invalid(fixture, "dimensions must be positive");
-    }
-
-    #[test]
-    fn load_reports_the_offending_line() {
-        // First event is fine; the defect is on JSON line 3.
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n{}\n",
-            r#"{"cycle":5,"src_core":0,"dst_node":0,"kind":"Request"}"#,
-            r#"{"cycle":5,"src_core":9,"dst_node":0,"kind":"Request"}"#
-        );
-        assert_invalid(&fixture, "line 3");
-    }
-
-    #[test]
-    fn load_rejects_out_of_range_class() {
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n",
-            r#"{"cycle":1,"src_core":0,"dst_node":0,"kind":"Request","class":4}"#
-        );
-        assert_invalid(&fixture, "class 4 out of range");
-    }
-
-    #[test]
-    fn load_defaults_missing_class_to_zero() {
-        let fixture = format!(
-            "{FIXTURE_HEADER}\n{}\n",
-            r#"{"cycle":1,"src_core":0,"dst_node":0,"kind":"Request"}"#
-        );
-        let t = Trace::load(std::io::BufReader::new(fixture.as_bytes())).unwrap();
-        assert_eq!(t.events()[0].class, 0);
-    }
-
-    #[test]
-    fn empty_trace() {
-        let t = Trace::new("e", 1, 1, 0);
-        assert!(t.is_empty());
-        assert_eq!(t.rate_per_core(), 0.0);
-        assert!(t.cursor().exhausted());
-    }
-
-    /// Degenerate-statistics pin: `rate_per_core` is 0.0 — never NaN or
-    /// inf — on zero-length traces *and* on zero-core traces (which only
-    /// deserialization can construct; `Trace::new` asserts cores > 0).
-    #[test]
-    fn rate_per_core_is_defined_on_degenerate_traces() {
-        let zero_len = Trace::new("z", 4, 2, 0);
-        assert_eq!(zero_len.rate_per_core(), 0.0);
-
-        let zero_cores: Trace =
-            serde_json::from_str(r#"{"name":"z","cores":0,"nodes":2,"length":10,"events":[]}"#)
-                .unwrap();
-        let rate = zero_cores.rate_per_core();
-        assert_eq!(rate, 0.0, "zero-core trace must not divide by zero");
-        assert!(rate.is_finite());
-    }
-
-    #[test]
-    fn from_stream_collects_and_matches_push() {
-        let streamed =
-            Trace::from_stream("unit", 8, 4, 100, sample().events().iter().copied().map(Ok))
-                .unwrap();
-        assert_eq!(streamed, sample());
-    }
-
-    #[test]
-    fn from_stream_rejects_defects_as_invalid_data() {
-        let bad = Trace::from_stream("bad", 8, 4, 100, [Ok(ev(1, 8, 0))])
-            .expect_err("out-of-range core must be rejected");
-        assert_eq!(bad.kind(), std::io::ErrorKind::InvalidData);
-        assert!(bad.to_string().contains("streamed event 0"));
-
-        let dims = Trace::from_stream("bad", 0, 4, 100, std::iter::empty())
-            .expect_err("zero cores must be rejected");
-        assert_eq!(dims.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn from_stream_propagates_io_errors() {
-        let events = [Ok(ev(1, 0, 0)), Err(std::io::Error::other("boom"))];
-        let err = Trace::from_stream("bad", 8, 4, 100, events).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Other);
-    }
 }

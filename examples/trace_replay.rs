@@ -1,14 +1,18 @@
 //! Replay an application trace through the network — the Fig. 10 flow.
 //!
 //! Synthesizes the `fft` workload trace (a stand-in for the paper's
-//! Simics-extracted traces), saves it to disk in the JSON-lines trace format,
-//! loads it back, and replays it under a baseline and a handshake scheme.
+//! Simics-extracted traces) straight to disk as a PTRC file, then replays
+//! that file under the baseline and handshake schemes.
 //!
 //! Run with: `cargo run --release --example trace_replay [app-name]`
 
 use nanophotonic_handshake::prelude::*;
+use nanophotonic_handshake::trace::{
+    generate_app, replay_run, StreamingTraceReader, DEFAULT_CHUNK_EVENTS,
+};
 use nanophotonic_handshake::traffic::apps::Suite;
-use std::io::BufReader;
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
 
 fn main() {
     let app_name = std::env::args().nth(1).unwrap_or_else(|| "fft".to_string());
@@ -31,28 +35,29 @@ fn main() {
         cfg.nodes,
         length
     );
-    let trace = app.synthesize(cfg.cores(), cfg.nodes, length, 2024);
+
+    // Stream the synthesis to disk; nothing is held in memory.
+    let path = std::env::temp_dir().join(format!("pnoc_trace_{}.ptrc", app.name));
+    let sink = BufWriter::new(File::create(&path).expect("create trace file"));
+    let (_, stats) = generate_app(
+        &app,
+        cfg.cores(),
+        cfg.nodes,
+        length,
+        2024,
+        DEFAULT_CHUNK_EVENTS,
+        sink,
+    )
+    .expect("write trace");
     println!(
-        "  {} messages, {:.4} packets/cycle/core",
-        trace.len(),
-        trace.rate_per_core()
+        "  {} messages, {:.4} packets/cycle/core, {} bytes at {}\n",
+        stats.events,
+        stats.events as f64 / length as f64 / cfg.cores() as f64,
+        stats.bytes,
+        path.display()
     );
 
-    // Round-trip through the on-disk format.
-    let path = std::env::temp_dir().join(format!("pnoc_trace_{}.jsonl", app.name));
-    trace
-        .save(std::fs::File::create(&path).expect("create trace file"))
-        .expect("write trace");
-    let loaded =
-        Trace::load(BufReader::new(std::fs::File::open(&path).expect("open"))).expect("parse");
-    assert_eq!(loaded, trace);
-    println!(
-        "  saved + reloaded {} ({} bytes)\n",
-        path.display(),
-        std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0)
-    );
-
-    // Replay under both flow-control families.
+    // Replay the file under both flow-control families.
     let plan = RunPlan::new(5_000, length - 10_000, 3_000);
     for scheme in [
         Scheme::TokenChannel,
@@ -60,10 +65,9 @@ fn main() {
         Scheme::TokenSlot,
         Scheme::Dhs { setaside: 8 },
     ] {
-        let cfg = NetworkConfig::paper_default(scheme);
-        let mut net = Network::new(cfg).expect("valid config");
-        let mut src = TraceSource::new(&loaded, cfg.cores_per_node);
-        let s = net.run_open_loop(&mut src, plan);
+        let file = BufReader::new(File::open(&path).expect("open trace file"));
+        let reader = StreamingTraceReader::open(file).expect("valid trace header");
+        let s = replay_run(NetworkConfig::paper_default(scheme), reader, plan).expect("replay");
         println!(
             "{:<18} avg latency {:>6.1} cycles   p99 {:>6.1}   queue wait {:>5.1}",
             scheme.label(),

@@ -37,7 +37,7 @@ pub use pnoc_sim as sim;
 /// Photonic substrate: wavelengths, waveguides, rings, losses, budgets.
 pub use pnoc_photonics as photonics;
 
-/// Traffic substrate: patterns, injectors, traces, application profiles.
+/// Traffic substrate: patterns, injectors, trace events, application profiles.
 pub use pnoc_traffic as traffic;
 
 /// The ring NoC simulator and all arbitration/flow-control schemes.
@@ -69,11 +69,11 @@ pub mod prelude {
     pub use crate::noc::network::run_synthetic_point;
     pub use crate::noc::{
         FairnessPolicy, Network, NetworkConfig, Packet, PacketKind, Scheme, SyntheticSource,
-        TraceSource, TrafficSource,
+        TrafficSource,
     };
     pub use crate::photonics::{ComponentBudget, NetworkDims};
     pub use crate::power::{ActivityProfile, PowerReport};
     pub use crate::sim::{RunPlan, SimRng};
     pub use crate::traffic::pattern::TrafficPattern;
-    pub use crate::traffic::{all_paper_apps, AppProfile, Trace};
+    pub use crate::traffic::{all_paper_apps, AppProfile};
 }
