@@ -35,11 +35,6 @@ echo "== cargo clippy pedantic (pnoc-noc) =="
 # swept into the stricter lint set.
 cargo clippy -p pnoc-noc --all-targets --offline -- -D warnings
 
-echo "== cargo clippy pedantic (pnoc-noc, verify-invariants auditor) =="
-# The verify-invariants auditor is cfg-gated, so the default build above
-# never lints it. Lint it here with the feature on.
-cargo clippy -p pnoc-noc --all-targets --features verify-invariants --offline -- -D warnings
-
 echo "== cargo clippy pedantic (pnoc-fleet) =="
 # The fleet layer gets the same pedantic treatment as the simulator core
 # (crate-level attribute in crates/fleet/src/lib.rs), in both the normal
@@ -172,11 +167,6 @@ echo "== perfbench build + self-test =="
 # public-API change in pnoc-noc/pnoc-fleet/... that breaks the benchmark
 # fail CI instead of the benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-
-echo "== cargo test (pnoc-noc with verify-invariants auditor) =="
-# Re-run the simulator core's suite with the per-cycle InvariantAuditor
-# compiled into Network::step.
-cargo test -q -p pnoc-noc --features verify-invariants --offline
 
 echo "== obs smoke =="
 # The demo harness attaches the event trace and occupancy sampler at run

@@ -12,11 +12,6 @@ use pnoc_bench::figures::{FAULT_RATES, RESILIENCE_LOAD};
 use pnoc_bench::{Fidelity, Table};
 
 fn main() {
-    // Built with --features verify-invariants, every simulated cycle below
-    // also runs pnoc-noc's InvariantAuditor; a conservation-law violation
-    // aborts the harness with a diagnostic instead of producing a table.
-    #[cfg(feature = "verify-invariants")]
-    println!("[verify-invariants] cycle-level invariant auditor active\n");
     if let Err(e) = pnoc_bench::apply_thread_flag() {
         eprintln!("resilience: {e}");
         std::process::exit(1);

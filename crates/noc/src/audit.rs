@@ -28,10 +28,11 @@
 //!   the admission/arbitration pipeline, not a tuning artifact
 //!   ([`InvariantAuditor::check_starvation`]).
 //!
-//! The auditor is wired into [`crate::network::Network::step`] behind the
-//! `verify-invariants` cargo feature; structural checks are stride-sampled
-//! on large configurations so feature-enabled test runs stay fast, while
-//! delivery observation (the exactly-once check) runs every cycle.
+//! [`crate::network::Network::attach_auditor`] attaches it at run time, like
+//! the trace and the sampler; every `step` of an audited network then runs
+//! it. Structural checks are stride-sampled on large configurations so
+//! audited runs stay fast, while delivery observation (the exactly-once
+//! check) runs every cycle. A detached network pays one branch per cycle.
 
 use crate::config::Scheme;
 use crate::metrics::NetworkMetrics;
@@ -45,7 +46,7 @@ use std::collections::BTreeSet;
 /// `Network::step`); the `_into` form refills a `Default` view in place so
 /// the sampled audit path reuses its allocations.
 #[derive(Debug, Clone, Default)]
-pub struct ChannelAuditView {
+pub(crate) struct ChannelAuditView {
     /// Home node id.
     pub home: usize,
     /// Scheme the channel runs.
@@ -91,10 +92,6 @@ pub struct ChannelAuditView {
     pub admission_enabled: bool,
     /// Admission refill period in cycles (0 when admission is off).
     pub admission_period: u32,
-    /// Current admission bucket levels, per class.
-    pub admission_tokens: [u8; MAX_CLASSES],
-    /// Admission bucket capacities, per class.
-    pub admission_burst: [u8; MAX_CLASSES],
     /// Queued packets per class, summed over senders.
     pub class_backlog: [usize; MAX_CLASSES],
     /// Cumulative grants per class (the starvation audit's progress
@@ -106,7 +103,7 @@ pub struct ChannelAuditView {
 /// the whole run: it accumulates the delivered-id set that the conservation
 /// and exactly-once checks need.
 #[derive(Debug, Clone, Default)]
-pub struct InvariantAuditor {
+pub(crate) struct InvariantAuditor {
     delivered_ids: BTreeSet<u64>,
     stride: u64,
     /// Starvation tracking, indexed `[channel][class]`: the grant count at
@@ -153,11 +150,6 @@ impl InvariantAuditor {
         } else {
             Err(format!("packet {id} delivered twice"))
         }
-    }
-
-    /// Packets delivered so far (distinct ids).
-    pub fn delivered_count(&self) -> usize {
-        self.delivered_ids.len()
     }
 
     /// Whether the (possibly sampled) structural check is due at `now`.
@@ -365,5 +357,139 @@ impl InvariantAuditor {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A healthy 4-slot DHS home: packet 2 queued at a sender, packet 3
+    /// buffered, packet 4 on the ring awaiting its handshake.
+    fn clean_view() -> ChannelAuditView {
+        ChannelAuditView {
+            scheme: Scheme::Dhs { setaside: 0 },
+            buffer_cap: 4,
+            queue_ids: vec![2],
+            input_queue_ids: vec![3],
+            ring_ids: vec![4],
+            unresolved_ids: vec![4],
+            ..ChannelAuditView::default()
+        }
+    }
+
+    /// An auditor that has seen packets 0 and 1 delivered, and metrics that
+    /// agree with [`clean_view`]: five generated, two delivered.
+    fn auditor_and_metrics() -> (InvariantAuditor, NetworkMetrics) {
+        let mut a = InvariantAuditor::new(4);
+        a.observe_delivery(0).unwrap();
+        a.observe_delivery(1).unwrap();
+        let mut m = NetworkMetrics::new();
+        m.generated = 5;
+        m.delivered = 2;
+        (a, m)
+    }
+
+    fn check_err(view: &ChannelAuditView, m: &NetworkMetrics) -> String {
+        let (a, _) = auditor_and_metrics();
+        a.check(std::slice::from_ref(view), m, &[])
+            .expect_err("the broken law must be caught")
+    }
+
+    #[test]
+    fn clean_view_passes() {
+        let (mut a, m) = auditor_and_metrics();
+        let mut v = clean_view();
+        a.check(std::slice::from_ref(&v), &m, &[]).unwrap();
+        v.admission_enabled = true;
+        v.class_backlog[1] = 1;
+        for now in [0, 5_000, 10_000] {
+            v.class_granted[1] = now;
+            a.check_starvation(now, std::slice::from_ref(&v)).unwrap();
+        }
+    }
+
+    #[test]
+    fn duplicate_delivery_is_caught() {
+        let (mut a, _) = auditor_and_metrics();
+        let why = a.observe_delivery(1).unwrap_err();
+        assert!(why.contains("packet 1 delivered twice"), "{why}");
+    }
+
+    #[test]
+    fn buffer_overflow_is_caught() {
+        let mut v = clean_view();
+        v.input_queue_ids = vec![3, 5, 6];
+        v.draining = 2;
+        let why = check_err(&v, &auditor_and_metrics().1);
+        assert!(
+            why.contains("buffer occupancy 5 exceeds capacity 4"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn token_channel_credit_leak_is_caught() {
+        // 2 credits on the token + 1 buffered + 0 on the ring = 3 ≠ 4.
+        let mut v = clean_view();
+        v.scheme = Scheme::TokenChannel;
+        v.credits = Some(2);
+        v.ring_ids.clear();
+        v.unresolved_ids.clear();
+        let why = check_err(&v, &auditor_and_metrics().1);
+        assert!(why.contains("credit conservation violated"), "{why}");
+        assert!(why.contains("= 3, expected 4"), "{why}");
+    }
+
+    #[test]
+    fn unresolvable_handshake_is_caught() {
+        let mut v = clean_view();
+        v.ring_ids.clear();
+        let why = check_err(&v, &auditor_and_metrics().1);
+        assert!(
+            why.contains("packet 4 awaits a handshake but nothing can resolve it"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn flit_conservation_off_by_one_is_caught() {
+        let (_, mut m) = auditor_and_metrics();
+        m.generated += 1;
+        let why = check_err(&clean_view(), &m);
+        assert!(why.contains("flit conservation violated"), "{why}");
+        assert!(
+            why.contains("5 distinct ids live or delivered, expected 6"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn delivered_counter_mismatch_is_caught() {
+        let (_, mut m) = auditor_and_metrics();
+        m.delivered = 3;
+        let why = check_err(&clean_view(), &m);
+        assert!(
+            why.contains("delivered counter (3) disagrees with observed deliveries (2)"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn starved_admission_class_is_caught() {
+        // Period 4 gives the floor tolerance of 4096 cycles.
+        let (mut a, _) = auditor_and_metrics();
+        let mut v = clean_view();
+        v.admission_enabled = true;
+        v.admission_period = 4;
+        v.class_backlog[1] = 3;
+        v.class_granted[1] = 7;
+        let views = std::slice::from_ref(&v);
+        a.check_starvation(0, views).unwrap();
+        a.check_starvation(1, views).unwrap();
+        a.check_starvation(4_097, views).unwrap();
+        let why = a.check_starvation(4_098, views).unwrap_err();
+        assert!(why.contains("class 1 starved"), "{why}");
+        assert!(why.contains("no grant since cycle 1"), "{why}");
     }
 }

@@ -598,9 +598,9 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// Check the channel's internal invariants (buffer bounds, queue
     /// accounting, reservation conservation, bit-plane exactness),
     /// reporting the first violation instead of panicking. The runtime
-    /// [`crate::audit::InvariantAuditor`] and the bounded model checker
-    /// route through this so a violation becomes a diagnosable trace rather
-    /// than an abort.
+    /// invariant auditor ([`crate::Network::attach_auditor`]) and the
+    /// bounded model checker route through this so a violation becomes a
+    /// diagnosable trace rather than an abort.
     pub fn try_check_invariants(&self) -> Result<(), String> {
         if self.input_queue.len() + self.draining as usize > self.buffer_cap {
             return Err(format!(
@@ -742,7 +742,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// Snapshot the observable state the [`crate::audit::InvariantAuditor`]
     /// needs for its cross-field conservation checks, reusing `out`'s
     /// allocations (the auditor calls this every sampled cycle).
-    pub fn audit_view_into(&self, out: &mut crate::audit::ChannelAuditView) {
+    pub(crate) fn audit_view_into(&self, out: &mut crate::audit::ChannelAuditView) {
         out.home = self.home;
         out.scheme = self.scheme;
         out.buffer_cap = self.buffer_cap;
@@ -784,8 +784,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         out.class_backlog = [0; pnoc_traffic::MAX_CLASSES];
         if let Some(ctl) = &self.admission {
             out.admission_period = ctl.period();
-            out.admission_tokens = ctl.tokens();
-            out.admission_burst = ctl.burst();
             out.class_granted = ctl.granted_by_class;
             for q in &self.senders {
                 let mask = q.class_backlog_mask();
@@ -798,17 +796,8 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             }
         } else {
             out.admission_period = 0;
-            out.admission_tokens = [0; pnoc_traffic::MAX_CLASSES];
-            out.admission_burst = [0; pnoc_traffic::MAX_CLASSES];
             out.class_granted = [0; pnoc_traffic::MAX_CLASSES];
         }
-    }
-
-    /// Allocating convenience wrapper around [`Channel::audit_view_into`].
-    pub fn audit_view(&self) -> crate::audit::ChannelAuditView {
-        let mut out = crate::audit::ChannelAuditView::default();
-        self.audit_view_into(&mut out);
-        out
     }
 
     /// Append a canonical encoding of the channel's complete dynamic state
@@ -1258,15 +1247,20 @@ mod tests {
                 ch.enqueue(pkt(i, 4, 0, 0));
             }
             run(&mut ch, &mut m, &mut d, 0, 5);
+            let snapshot = |ch: &Channel<_, _>| {
+                let mut out = crate::audit::ChannelAuditView::default();
+                ch.audit_view_into(&mut out);
+                out
+            };
             let mut view = crate::audit::ChannelAuditView::default();
             ch.audit_view_into(&mut view);
-            let fresh = ch.audit_view();
+            let fresh = snapshot(&ch);
             assert_eq!(view.queue_ids, fresh.queue_ids);
             assert_eq!(view.unresolved_ids, fresh.unresolved_ids);
             // Refill after more cycles: stale content must be fully replaced.
             run(&mut ch, &mut m, &mut d, 5, 20);
             ch.audit_view_into(&mut view);
-            let fresh = ch.audit_view();
+            let fresh = snapshot(&ch);
             assert_eq!(view.queue_ids, fresh.queue_ids);
             assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
             assert_eq!(view.pending_acks, fresh.pending_acks);

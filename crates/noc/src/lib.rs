@@ -53,7 +53,7 @@
     clippy::too_many_lines
 )]
 
-pub mod audit;
+mod audit;
 pub mod calendar;
 pub mod channel;
 pub mod config;
@@ -71,7 +71,6 @@ pub mod sources;
 pub mod swmr;
 pub mod topology;
 
-pub use audit::{ChannelAuditView, InvariantAuditor};
 pub use config::{AdmissionPolicy, FairnessPolicy, NetworkConfig, Scheme};
 pub use emesh::{MeshConfig, MeshNetwork};
 pub use fabric::Fabric;

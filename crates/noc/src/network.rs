@@ -7,6 +7,7 @@
 //! monomorphized per scheme family in `Channels`; the per-cycle phase
 //! sweeps dispatch on that enum once per sweep, not once per channel.
 
+use crate::audit::{ChannelAuditView, InvariantAuditor};
 use crate::calendar::Calendar;
 use crate::channel::{Channel, Delivery};
 use crate::config::NetworkConfig;
@@ -106,17 +107,9 @@ pub type Network = Fabric<Mwsr>;
 pub struct Mwsr {
     cfg: NetworkConfig,
     channels: Channels,
-    /// Cycle-level invariant auditing (`verify-invariants` feature): see
-    /// [`crate::audit::InvariantAuditor`].
-    #[cfg(feature = "verify-invariants")]
-    auditor: crate::audit::InvariantAuditor,
-    /// Scratch channel views for the sampled audit (allocations reused
-    /// across cycles).
-    #[cfg(feature = "verify-invariants")]
-    audit_views: Vec<crate::audit::ChannelAuditView>,
-    /// Scratch pending-injection ids for the sampled audit.
-    #[cfg(feature = "verify-invariants")]
-    audit_pending: Vec<u64>,
+    /// Cycle-level invariant auditor; `None` until
+    /// [`Network::attach_auditor`] is called.
+    audit: Option<Box<Audit>>,
     /// Per-channel occupancy time-series sampler; `None` until
     /// [`Network::attach_sampler`] is called.
     sampler: Option<pnoc_obs::OccupancySampler>,
@@ -132,12 +125,7 @@ impl Layer for Mwsr {
         Ok(Self {
             cfg,
             channels: build_channels(&cfg),
-            #[cfg(feature = "verify-invariants")]
-            auditor: crate::audit::InvariantAuditor::new(cfg.nodes),
-            #[cfg(feature = "verify-invariants")]
-            audit_views: Vec::new(),
-            #[cfg(feature = "verify-invariants")]
-            audit_pending: Vec::new(),
+            audit: None,
             sampler: None,
         })
     }
@@ -188,8 +176,9 @@ impl Layer for Mwsr {
         if let Some(s) = self.sampler.as_mut() {
             sample_channels(s, &self.channels, now);
         }
-        #[cfg(feature = "verify-invariants")]
-        self.audit(now, inject_cal, metrics, deliveries);
+        if let Some(a) = self.audit.as_deref_mut() {
+            audit_cycle(a, &self.channels, now, inject_cal, metrics, deliveries);
+        }
     }
 
     fn is_drained(&self) -> bool {
@@ -228,74 +217,66 @@ fn sample_channels(s: &mut pnoc_obs::OccupancySampler, channels: &Channels, now:
     }
 }
 
-impl Mwsr {
-    /// Refill `views` with every channel's audit view and `pending` with
-    /// the ids still in the injection pipeline.
-    fn audit_snapshot_into(
-        &self,
-        inject_cal: &Calendar<Packet>,
-        views: &mut Vec<crate::audit::ChannelAuditView>,
-        pending: &mut Vec<u64>,
-    ) {
-        views.resize_with(self.cfg.nodes, Default::default);
-        for_channels!(&self.channels, chs => {
-            for (ch, view) in chs.iter().zip(views.iter_mut()) {
-                ch.audit_view_into(view);
-            }
-        });
-        pending.clear();
-        pending.extend(inject_cal.pending_iter().map(|(_, p)| p.id));
-    }
+/// The attached auditor with its scratch snapshot buffers (allocations
+/// reused across sampled cycles).
+#[derive(Debug, Default)]
+struct Audit {
+    auditor: InvariantAuditor,
+    views: Vec<ChannelAuditView>,
+    pending: Vec<u64>,
+}
 
-    /// Run the cycle-level invariant auditor against this cycle's end state
-    /// (`verify-invariants` feature). Delivery observation — the
-    /// exactly-once check — runs every cycle; the cross-field structural
-    /// checks are stride-sampled on large configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a diagnostic on the first violated invariant.
-    #[cfg(feature = "verify-invariants")]
-    fn audit(
-        &mut self,
-        now: Cycle,
-        inject_cal: &Calendar<Packet>,
-        metrics: &NetworkMetrics,
-        deliveries: &[Delivery],
-    ) {
-        for d in deliveries {
-            if let Err(why) = self.auditor.observe_delivery(d.pkt.id) {
-                panic!("invariant auditor, cycle {now}: {why}");
-            }
-        }
-        // The bit-planes must track their scalar predicates exactly: check
-        // every channel's internal invariants on sampled cycles.
-        if !self.auditor.due(now) {
-            return;
-        }
-        for_channels!(&self.channels, chs => for ch in chs {
-            if let Err(why) = ch.try_check_invariants() {
-                panic!("invariant auditor, cycle {now}, channel {}: {why}", ch.home());
-            }
-        });
-        // Reuse the scratch snapshot buffers across sampled cycles (taken
-        // out and put back to satisfy the borrow checker alongside `&self`).
-        let mut views = std::mem::take(&mut self.audit_views);
-        let mut pending = std::mem::take(&mut self.audit_pending);
-        self.audit_snapshot_into(inject_cal, &mut views, &mut pending);
-        let verdict = self
-            .auditor
-            .check(&views, metrics, &pending)
-            .and_then(|()| self.auditor.check_starvation(now, &views));
-        self.audit_views = views;
-        self.audit_pending = pending;
-        if let Err(why) = verdict {
+/// Run the cycle-level invariant auditor against this cycle's end state.
+/// Delivery observation — the exactly-once check — runs every cycle; the
+/// bit-plane and cross-field structural checks are stride-sampled on large
+/// configurations. Out of line so an unaudited run pays one predictable
+/// branch per cycle.
+///
+/// # Panics
+///
+/// Panics with a diagnostic on the first violated invariant.
+#[cold]
+#[inline(never)]
+fn audit_cycle(
+    a: &mut Audit,
+    channels: &Channels,
+    now: Cycle,
+    inject_cal: &Calendar<Packet>,
+    metrics: &NetworkMetrics,
+    deliveries: &[Delivery],
+) {
+    for d in deliveries {
+        if let Err(why) = a.auditor.observe_delivery(d.pkt.id) {
             panic!("invariant auditor, cycle {now}: {why}");
         }
     }
+    if !a.auditor.due(now) {
+        return;
+    }
+    // The bit-planes must track their scalar predicates exactly: check
+    // every channel's internal invariants on sampled cycles.
+    for_channels!(channels, chs => {
+        a.views.resize_with(chs.len(), Default::default);
+        for (ch, view) in chs.iter().zip(a.views.iter_mut()) {
+            if let Err(why) = ch.try_check_invariants() {
+                panic!("invariant auditor, cycle {now}, channel {}: {why}", ch.home());
+            }
+            ch.audit_view_into(view);
+        }
+    });
+    a.pending.clear();
+    a.pending
+        .extend(inject_cal.pending_iter().map(|(_, p)| p.id));
+    let verdict = a
+        .auditor
+        .check(&a.views, metrics, &a.pending)
+        .and_then(|()| a.auditor.check_starvation(now, &a.views));
+    if let Err(why) = verdict {
+        panic!("invariant auditor, cycle {now}: {why}");
+    }
 }
 
-/// MWSR-only observers and the external audit surface.
+/// MWSR-only observers.
 impl Network {
     /// Attach a fixed-capacity packet-lifecycle event trace. Events emitted
     /// before attachment are not recorded; once `capacity` events are held
@@ -320,27 +301,26 @@ impl Network {
         self.layer.sampler.as_ref()
     }
 
-    /// Snapshot the per-channel views plus the ids still in the injection
-    /// pipeline — everything an external
-    /// [`crate::audit::InvariantAuditor`] needs to run its checks against
-    /// this network (the `pnoc-verify` audit pass drives this without the
-    /// `verify-invariants` feature). Refills the caller's buffers in place
-    /// so a per-cycle audit loop reuses its allocations.
-    pub fn audit_snapshot_into(
-        &self,
-        views: &mut Vec<crate::audit::ChannelAuditView>,
-        pending: &mut Vec<u64>,
-    ) {
-        self.layer
-            .audit_snapshot_into(&self.inject_cal, views, pending);
-    }
-
-    /// Allocating convenience wrapper around [`Network::audit_snapshot_into`].
-    pub fn audit_snapshot(&self) -> (Vec<crate::audit::ChannelAuditView>, Vec<u64>) {
-        let mut views = Vec::new();
-        let mut pending = Vec::new();
-        self.audit_snapshot_into(&mut views, &mut pending);
-        (views, pending)
+    /// Attach the cycle-level invariant auditor: from now on every `step`
+    /// checks exactly-once delivery, buffer bounds, credit conservation,
+    /// ACK pairing, flit conservation, class starvation and the channels'
+    /// bit-plane invariants, and panics with a diagnostic on the first
+    /// violation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has already stepped: the auditor must see
+    /// every delivery for its exactly-once ledger to be complete.
+    pub fn attach_auditor(&mut self) {
+        assert_eq!(
+            self.now(),
+            0,
+            "attach_auditor after the first step: deliveries already missed"
+        );
+        self.layer.audit = Some(Box::new(Audit {
+            auditor: InvariantAuditor::new(self.layer.cfg.nodes),
+            ..Audit::default()
+        }));
     }
 }
 
@@ -412,9 +392,24 @@ mod tests {
     use crate::sources::SyntheticSource;
     use pnoc_traffic::pattern::TrafficPattern;
 
+    /// [`run_synthetic_point`] on an audited network: the invariant
+    /// auditor checks every cycle of every run in this suite.
+    fn audited_point(cfg: NetworkConfig, rate: f64) -> (RunSummary, Network) {
+        let mut net = Network::new(cfg).expect("invalid config");
+        net.attach_auditor();
+        let mut src = SyntheticSource::new(
+            TrafficPattern::UniformRandom,
+            rate,
+            cfg.nodes,
+            cfg.cores_per_node,
+            cfg.seed ^ 0x5EED_0001,
+        );
+        let s = net.run_open_loop(&mut src, RunPlan::quick());
+        (s, net)
+    }
+
     fn quick_point(scheme: Scheme, rate: f64) -> RunSummary {
-        let cfg = NetworkConfig::small(scheme);
-        run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, RunPlan::quick())
+        audited_point(NetworkConfig::small(scheme), rate).0
     }
 
     #[test]
@@ -422,6 +417,7 @@ mod tests {
         for scheme in Scheme::paper_set(2) {
             let cfg = NetworkConfig::small(scheme);
             let mut net = Network::new(cfg).unwrap();
+            net.attach_auditor();
             let mut src = SyntheticSource::new(
                 TrafficPattern::UniformRandom,
                 0.02,
@@ -481,6 +477,7 @@ mod tests {
         // Drive inject()/step()/deliveries() by hand, as the CMP model does.
         let cfg = NetworkConfig::small(Scheme::Dhs { setaside: 2 });
         let mut net = Network::new(cfg).unwrap();
+        net.attach_auditor();
         let id = net.inject(0, 5, PacketKind::Request, 42, true);
         let mut seen = None;
         for _ in 0..64 {
@@ -498,6 +495,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "attach_auditor after the first step")]
+    fn attaching_the_auditor_after_a_step_panics() {
+        let mut net = Network::new(NetworkConfig::small(Scheme::TokenSlot)).unwrap();
+        net.step();
+        net.attach_auditor();
+    }
+
+    #[test]
     fn bad_config_is_rejected() {
         let mut cfg = NetworkConfig::small(Scheme::TokenSlot);
         cfg.ring_segments = 3;
@@ -512,17 +517,8 @@ mod tests {
     /// schemes may legitimately wedge (leaked credits never come back), so
     /// the drain check is left to each test.
     fn faulted_point(cfg: NetworkConfig, rate: f64) -> (RunSummary, NetworkMetrics, bool) {
-        let mut net = Network::new(cfg).expect("invalid config");
-        let mut src = SyntheticSource::new(
-            TrafficPattern::UniformRandom,
-            rate,
-            cfg.nodes,
-            cfg.cores_per_node,
-            cfg.seed ^ 0x5EED_0001,
-        );
-        let s = net.run_open_loop(&mut src, RunPlan::quick());
-        let drained = net.is_drained();
-        (s, net.metrics().clone(), drained)
+        let (s, net) = audited_point(cfg, rate);
+        (s, net.metrics().clone(), net.is_drained())
     }
 
     #[test]
@@ -536,13 +532,8 @@ mod tests {
             with_engine.recovery.enabled,
             "handshake scheme must arm recovery"
         );
-        let a = run_synthetic_point(base, TrafficPattern::UniformRandom, 0.05, RunPlan::quick());
-        let b = run_synthetic_point(
-            with_engine,
-            TrafficPattern::UniformRandom,
-            0.05,
-            RunPlan::quick(),
-        );
+        let (a, _) = audited_point(base, 0.05);
+        let (b, _) = audited_point(with_engine, 0.05);
         assert_eq!(a.avg_latency.to_bits(), b.avg_latency.to_bits());
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(

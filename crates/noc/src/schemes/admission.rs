@@ -16,8 +16,8 @@
 //! ineligible to the token sweep, exactly like a fairness sit-out. Because
 //! [`crate::config::AdmissionPolicy::validate`] requires every class to
 //! refill at ≥ 1 credit per period, no backlogged class is starved forever
-//! — the liveness half of the starvation audit
-//! ([`crate::audit::InvariantAuditor`]).
+//! — the liveness half of the starvation audit that the invariant auditor
+//! runs ([`crate::Network::attach_auditor`]).
 //!
 //! The struct exists only when admission is configured; the `QoS`-off hot
 //! path never touches it (the `Option` is checked once per sweep window,

@@ -31,7 +31,8 @@
 //! mirrored here), but a *missing* bit would silently skip an eligible
 //! sender and change arbitration.
 //! [`crate::channel::Channel::try_check_invariants`] cross-checks every
-//! plane against its scalar predicate under `verify-invariants`.
+//! plane against its scalar predicate on every sampled cycle of a run with
+//! the invariant auditor attached ([`crate::Network::attach_auditor`]).
 //!
 //! [`SortedIdSet`] lives here too: it is the other deterministic set in the
 //! kernel (duplicate suppression over packet ids), kept as a sorted vec

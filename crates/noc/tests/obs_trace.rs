@@ -1,6 +1,7 @@
 //! Integration tests for run-time observation: the event trace must agree
 //! with the simulator's own counters, and attaching observability must
-//! never change what the simulation computes.
+//! never change what the simulation computes. Every run here also carries
+//! the invariant auditor.
 
 use pnoc_noc::network::Network;
 use pnoc_noc::sources::SyntheticSource;
@@ -40,6 +41,7 @@ fn event_counts_match_metrics_counters() {
     ] {
         let cfg = NetworkConfig::small(scheme);
         let mut net = Network::new(cfg).unwrap();
+        net.attach_auditor();
         net.attach_trace(1 << 20);
         let mut src = source_for(&cfg, 0.05);
         net.run_open_loop(&mut src, RunPlan::quick());
@@ -64,9 +66,9 @@ fn event_counts_match_metrics_counters() {
     }
 }
 
-/// Attaching the trace, the sampler or an injection recorder must not
-/// perturb the simulation: the run summary is byte-identical with and
-/// without them.
+/// Attaching the trace, the sampler, the invariant auditor or an injection
+/// recorder must not perturb the simulation: the run summary is
+/// byte-identical with and without them.
 #[test]
 fn observation_does_not_feed_back() {
     let cfg = NetworkConfig::small(Scheme::Dhs { setaside: 2 });
@@ -82,6 +84,7 @@ fn observation_does_not_feed_back() {
     let (observed, _) = run(&|net| {
         net.attach_trace(4096);
         net.attach_sampler(8);
+        net.attach_auditor();
     });
     assert_eq!(plain, observed, "observation changed the simulation");
 
@@ -113,6 +116,7 @@ fn trace_and_samples_are_deterministic() {
     let cfg = NetworkConfig::small(Scheme::Ghs { setaside: 0 });
     let run = || {
         let mut net = Network::new(cfg).unwrap();
+        net.attach_auditor();
         net.attach_trace(1 << 16);
         net.attach_sampler(4);
         let mut src = source_for(&cfg, 0.06);
@@ -133,6 +137,7 @@ fn fault_events_surface_in_the_trace() {
     cfg.faults = pnoc_faults::FaultConfig::uniform(5e-4);
     cfg.recovery = pnoc_faults::RecoveryConfig::for_ring(cfg.ring_segments);
     let mut net = Network::new(cfg).unwrap();
+    net.attach_auditor();
     net.attach_trace(1 << 20);
     let mut src = source_for(&cfg, 0.05);
     net.run_open_loop(&mut src, RunPlan::quick());

@@ -1,19 +1,21 @@
 //! Runtime invariant audit of full `Network` simulations.
 //!
-//! The per-cycle [`InvariantAuditor`] normally rides inside
-//! [`Network::step`] behind pnoc-noc's `verify-invariants` feature. This
-//! pass drives it *externally* through [`Network::audit_snapshot`], so the
-//! CI gate exercises the exact same conservation laws on real mixed
-//! traffic — every scheme, with and without fault injection — without
-//! requiring a feature-unified rebuild of the whole workspace.
+//! Each matrix row builds a small ring, attaches pnoc-noc's cycle-level
+//! invariant auditor ([`Network::attach_auditor`]) and runs it through the
+//! shipped open-loop driver ([`Network::run_open_loop`]), so the CI gate
+//! checks the conservation laws, the starvation audit and the channels'
+//! bit-plane invariants on the code every harness runs — every scheme, with
+//! and without fault injection, on real mixed traffic. A violation panics
+//! inside `step`; the panic is caught and reported as a `FAIL` row.
 
 use pnoc_noc::{
-    AdmissionPolicy, ClassedSource, FaultConfig, InvariantAuditor, Network, NetworkConfig, Scheme,
-    TrafficSource, MAX_CLASSES,
+    AdmissionPolicy, ClassedSource, FaultConfig, Network, NetworkConfig, Scheme, MAX_CLASSES,
 };
+use pnoc_sim::RunPlan;
 use pnoc_traffic::classes::TenantMixKind;
 use pnoc_traffic::pattern::TrafficPattern;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One audited run configuration.
 #[derive(Debug, Clone)]
@@ -40,8 +42,8 @@ pub struct AuditRun {
 pub struct AuditResult {
     /// The run.
     pub run: AuditRun,
-    /// Packets delivered (distinct ids observed).
-    pub delivered: usize,
+    /// Packets delivered.
+    pub delivered: u64,
     /// First invariant violation, if any.
     pub violation: Option<String>,
     /// Whether the network fully drained after injection stopped
@@ -89,8 +91,9 @@ pub fn matrix() -> Vec<AuditRun> {
     out
 }
 
-/// Drive one run, feeding every cycle's deliveries to the auditor and
-/// running the structural checks at the auditor's cadence.
+/// Drive one run through the open-loop driver with the auditor attached:
+/// `warm_cycles` of injection, then `drain_cycles` (plus the network's own
+/// drain grace) to drain.
 pub fn run_audit(run: &AuditRun) -> AuditResult {
     let mut cfg = NetworkConfig::paper_default(run.scheme);
     cfg.nodes = 8;
@@ -110,6 +113,7 @@ pub fn run_audit(run: &AuditRun) -> AuditResult {
         };
     }
     let mut net = Network::new(cfg).expect("audit config must validate");
+    net.attach_auditor();
     let mut source = ClassedSource::new(
         run.mix,
         run.rate,
@@ -118,50 +122,21 @@ pub fn run_audit(run: &AuditRun) -> AuditResult {
         cfg.cores_per_node,
         cfg.seed ^ 0xA0D1_7000,
     );
-    let mut auditor = InvariantAuditor::new(cfg.nodes);
-    let mut requests = Vec::new();
-    let mut violation = None;
-    // Snapshot scratch reused across sampled cycles (the `_into` form
-    // refills these in place instead of reallocating).
-    let mut views = Vec::new();
-    let mut pending = Vec::new();
-
-    'outer: for cycle in 0..(run.warm_cycles + run.drain_cycles) {
-        if cycle < run.warm_cycles {
-            requests.clear();
-            source.generate(net.now(), &mut requests);
-            for &(core, dst, kind, class) in &requests {
-                if core / cfg.cores_per_node == dst {
-                    continue;
-                }
-                let _ = net.inject_classed(core, dst, kind, 0, class, true);
-            }
-        }
-        net.step();
-        for d in net.deliveries() {
-            if let Err(why) = auditor.observe_delivery(d.pkt.id) {
-                violation = Some(format!("cycle {}: {why}", net.now()));
-                break 'outer;
-            }
-        }
-        if auditor.due(net.now()) {
-            net.audit_snapshot_into(&mut views, &mut pending);
-            let verdict = auditor
-                .check(&views, net.metrics(), &pending)
-                .and_then(|()| auditor.check_starvation(net.now(), &views));
-            if let Err(why) = verdict {
-                violation = Some(format!("cycle {}: {why}", net.now()));
-                break 'outer;
-            }
-        }
-        if cycle >= run.warm_cycles && net.is_drained() {
-            break;
-        }
-    }
-
+    let plan = RunPlan::new(0, run.warm_cycles, run.drain_cycles);
+    let violation = catch_unwind(AssertUnwindSafe(|| {
+        net.run_open_loop(&mut source, plan);
+    }))
+    .err()
+    .map(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_else(|| "non-string panic".to_owned())
+    });
     AuditResult {
         run: run.clone(),
-        delivered: auditor.delivered_count(),
+        delivered: net.metrics().delivered,
         violation,
         drained: net.is_drained(),
     }

@@ -17,10 +17,12 @@
 //!    configurations of every scheme, proving deadlock-freedom, exactly-once delivery and bounded
 //!    handshake resolution under deterministic budgeted fault schedules,
 //!    with concrete counterexample schedules on violation.
-//! 3. **Runtime invariant audit** ([`audits`]) — the cycle-level
-//!    [`pnoc_noc::InvariantAuditor`] (flit conservation, buffer bounds,
-//!    credit/token conservation, ACK pairing) driven over full mixed-traffic
-//!    `Network` runs of every scheme, with and without fault injection.
+//! 3. **Runtime invariant audit** ([`audits`]) — pnoc-noc's cycle-level
+//!    invariant auditor (flit conservation, buffer bounds, credit/token
+//!    conservation, ACK pairing, class starvation, bit-plane exactness),
+//!    attached with [`pnoc_noc::Network::attach_auditor`] to full
+//!    mixed-traffic runs of every scheme through the shipped open-loop
+//!    driver, with and without fault injection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
