@@ -85,13 +85,12 @@ echo "== pnoc-oracle differential smoke (fuzz --quick) =="
 # admission — the oracle carries its own independent admission mirror),
 # must show zero divergences in counters, per-packet ejection logs, and
 # drain state. Then the sabotage
-# self-test: with the sabotage-dup-suppression feature compiled into
-# pnoc-noc (breaking HandshakeFlow duplicate suppression there only), the
-# harness must DETECT the divergence and shrink it — proving the diff is
-# alive, not vacuously green.
+# self-test on the same build: with duplicate suppression disabled at run
+# time in pnoc-noc only (FuzzCase::sabotage), the harness must DETECT the
+# divergence and shrink it — proving the diff is alive, not vacuously
+# green.
 cargo run --release -q -p pnoc-oracle --offline --bin fuzz -- --quick
-cargo run --release -q -p pnoc-oracle --offline \
-  --features sabotage-dup-suppression --bin fuzz -- --sabotage-check
+cargo run --release -q -p pnoc-oracle --offline --bin fuzz -- --sabotage-check
 
 echo "== pnoc-fleet checkpoint/resume smoke (kill mid-flight, byte-identical) =="
 # The fleet engine's headline guarantee, exercised at the process level:

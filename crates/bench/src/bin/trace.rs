@@ -384,7 +384,7 @@ fn record_inner(args: &[String]) -> Result<String, String> {
         rate,
         cfg.nodes,
         cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
+        cfg.seed ^ pnoc_noc::sources::TRAFFIC_SEED_XOR,
     );
     let file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
     let (summary, _, stats) =

@@ -12,9 +12,10 @@
 //! [`crate::with_scheme!`] binds for the configuration's scheme, so
 //! [`crate::network::Network`] compiles one fully inlined step loop per
 //! scheme family, and the bounded model checker
-//! ([`crate::fsm::ChannelModel`]) and the tests run those same types. The
-//! [`crate::network::Network`] orchestrator calls the `phase_*` methods in a
-//! fixed order each cycle:
+//! ([`crate::fsm::ChannelModel`]) and the tests run those same types.
+//! [`Channel::step`] is the one way a channel advances a cycle — the
+//! network, the model checker and the tests all call it — and it runs the
+//! private phases in a fixed order:
 //!
 //! 1. `phase_advance`  — light moves one segment,
 //! 2. `phase_arrival`  — the home inspects the slot at its segment
@@ -139,6 +140,8 @@ pub struct Channel<A, F> {
     injector: Option<ChannelInjector>,
     /// Sender-side ACK-timeout retransmission parameters.
     recovery: RecoveryConfig,
+    /// Checker self-test switch ([`Channel::disable_duplicate_suppression`]).
+    dup_suppression_disabled: bool,
 }
 
 impl<A: Arbiter, F: Flow> Channel<A, F> {
@@ -208,6 +211,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             served_by_sender: vec![0; cfg.nodes],
             injector,
             recovery: cfg.recovery,
+            dup_suppression_disabled: false,
         }
     }
 
@@ -275,24 +279,32 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         self.ejection_per_cycle = n;
     }
 
-    /// Chaos/test hook: forget every packet id the home has accepted,
-    /// disabling duplicate suppression. A retransmission of an
-    /// already-delivered packet will then be delivered again — the
-    /// intentional bug the model checker's self-test must catch as a
-    /// duplicate-delivery counterexample.
-    pub fn forget_accepted_ids(&mut self) {
-        if let Some(h) = self.flow.handshake_mut() {
-            h.accepted_ids.clear();
-        }
+    /// Checker self-test hook: the home stops suppressing retransmissions
+    /// of packets it already accepted, so a lost ACK delivers one twice —
+    /// the bug the model checker, oracle and auditor must each report.
+    pub fn disable_duplicate_suppression(&mut self) {
+        self.dup_suppression_disabled = true;
+    }
+
+    /// Advance the channel one cycle: the six phases in the fixed order of
+    /// the module docs, appending this cycle's deliveries to `deliveries`.
+    #[inline]
+    pub fn step(&mut self, now: Cycle, m: &mut NetworkMetrics, deliveries: &mut Vec<Delivery>) {
+        self.phase_advance();
+        self.phase_arrival(now, m);
+        self.phase_acks(now, m);
+        self.phase_transmit(now, m);
+        self.phase_tokens(now, m);
+        self.phase_eject(now, m, deliveries);
     }
 
     /// Phase 1: light advances one segment.
-    pub fn phase_advance(&mut self) {
+    fn phase_advance(&mut self) {
         self.data.advance();
     }
 
     /// Phase 2: the home inspects the slot at its segment.
-    pub fn phase_arrival(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    fn phase_arrival(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         // Take the flit once; the circulation path puts it back. (Take-once
         // keeps this per-cycle path free of unwrap/expect — determinism lint
         // `no-hot-path-unwrap`.)
@@ -364,13 +376,11 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         // original was accepted but whose ACK was lost must not be delivered
         // twice. Discard it and re-ACK so the sender can release its copy.
         //
-        // The `sabotage-dup-suppression` feature turns the accepted-id check
-        // into a constant `false` so the pnoc-oracle differential harness can
-        // prove it detects a real protocol bug; in the default build the
-        // `cfg!` folds away and this line is exactly the suppression check.
+        // `dup_suppression_disabled` is the checkers' self-test switch,
+        // read only here (handshake arrivals with recovery armed).
         if self.recovery.enabled {
             if let Some(h) = self.flow.handshake_mut() {
-                if !cfg!(feature = "sabotage-dup-suppression") && h.accepted_ids.contains(flit.id) {
+                if !self.dup_suppression_disabled && h.accepted_ids.contains(flit.id) {
                     m.duplicates_suppressed += 1;
                     m.trace(
                         now,
@@ -418,8 +428,8 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
 
     /// Phase 3: handshakes reach their senders, and expired ACK timers fire.
     /// A statically-folded no-op for schemes without a handshake channel.
-    pub fn phase_acks(&mut self, now: Cycle, m: &mut NetworkMetrics) {
-        self.flow.phase_acks(
+    fn phase_acks(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+        self.flow.resolve_acks(
             now,
             self.home,
             &mut self.senders,
@@ -438,7 +448,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     /// segments (one per sender per cycle). The granted bit-plane *is* the
     /// active-sender list, pre-sorted by downstream distance — the loop is
     /// a word scan, with no per-cycle sort and no compaction.
-    pub fn phase_transmit(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    fn phase_transmit(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         if !self.planes.granted.any() {
             return;
         }
@@ -508,7 +518,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
 
     /// Phase 5: token emission, sweeping, grabbing, reimbursement — all
     /// delegated to the arbiter/flow pairing resolved at construction.
-    pub fn phase_tokens(&mut self, now: Cycle, m: &mut NetworkMetrics) {
+    fn phase_tokens(&mut self, now: Cycle, m: &mut NetworkMetrics) {
         if let Some(ctl) = self.admission.as_mut() {
             ctl.tick(now);
         }
@@ -533,12 +543,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 
     /// Phase 6: the home drains its input buffer toward the local cores.
-    pub fn phase_eject(
-        &mut self,
-        now: Cycle,
-        m: &mut NetworkMetrics,
-        deliveries: &mut Vec<Delivery>,
-    ) {
+    fn phase_eject(&mut self, now: Cycle, m: &mut NetworkMetrics, deliveries: &mut Vec<Delivery>) {
         // Flits leaving the ejection router release their buffer slots; only
         // now does a freed slot become a reimbursable credit.
         if self.releases.is_empty() {
@@ -578,7 +583,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
                 self.draining += 1;
                 self.releases.schedule(available_at, ());
             }
-            m.delivered += 1;
             m.trace(
                 now,
                 self.home,
@@ -587,11 +591,9 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
                 EventKind::Eject,
             );
             if pkt.measured {
-                m.delivered_measured += 1;
-                m.record_latency_class(pkt.class, pkt.latency_at(available_at) as f64);
                 self.served_by_sender[pkt.src_node as usize] += 1;
             }
-            deliveries.push(Delivery { pkt, available_at });
+            m.record_delivery(pkt, available_at, deliveries);
         }
     }
 
@@ -964,12 +966,7 @@ mod tests {
         cycles: u64,
     ) {
         for now in from..from + cycles {
-            ch.phase_advance();
-            ch.phase_arrival(now, m);
-            ch.phase_acks(now, m);
-            ch.phase_transmit(now, m);
-            ch.phase_tokens(now, m);
-            ch.phase_eject(now, m, deliveries);
+            ch.step(now, m, deliveries);
             ch.check_invariants();
         }
     }
@@ -1064,12 +1061,7 @@ mod tests {
     ) {
         for now in 0..cycles {
             ch.set_ejection_per_cycle(usize::from(now % period == 0));
-            ch.phase_advance();
-            ch.phase_arrival(now, m);
-            ch.phase_acks(now, m);
-            ch.phase_transmit(now, m);
-            ch.phase_tokens(now, m);
-            ch.phase_eject(now, m, d);
+            ch.step(now, m, d);
             ch.check_invariants();
         }
     }
@@ -1162,12 +1154,7 @@ mod tests {
                 }
                 let mut cycles = 0;
                 for now in 0..5000u64 {
-                    ch.phase_advance();
-                    ch.phase_arrival(now, &mut m);
-                    ch.phase_acks(now, &mut m);
-                    ch.phase_transmit(now, &mut m);
-                    ch.phase_tokens(now, &mut m);
-                    ch.phase_eject(now, &mut m, &mut d);
+                    ch.step(now, &mut m, &mut d);
                     if d.len() == 30 {
                         cycles = now;
                         break;

@@ -299,13 +299,7 @@ impl Layer for Mesh {
                     // Ejection: hand to the local cores.
                     let available_at = now + self.cfg.router_latency;
                     metrics.arrivals += 1;
-                    metrics.delivered += 1;
-                    if pkt.measured {
-                        metrics.delivered_measured += 1;
-                        metrics
-                            .record_latency_class(pkt.class, pkt.latency_at(available_at) as f64);
-                    }
-                    deliveries.push(Delivery { pkt, available_at });
+                    metrics.record_delivery(pkt, available_at, deliveries);
                 } else {
                     // Forward: consume a credit, traverse pipeline + link.
                     self.routers[r].credits[out] -= 1;

@@ -99,10 +99,6 @@ pub struct ChannelModel<A, F> {
     home: usize,
     scheme: Scheme,
     scratch: Vec<Delivery>,
-    /// Sabotage knob: clear the home's duplicate-suppression set every
-    /// cycle. Used by the checker's self-test to prove it can produce a
-    /// duplicate-delivery counterexample.
-    sabotage_forget_accepted: bool,
 }
 
 impl<A: Arbiter, F: Flow> ChannelModel<A, F> {
@@ -148,14 +144,7 @@ impl<A: Arbiter, F: Flow> ChannelModel<A, F> {
             home,
             scheme: cfg.scheme,
             scratch: Vec::new(),
-            sabotage_forget_accepted: false,
         }
-    }
-
-    /// Arm the intentional bug: duplicate suppression is disabled on every
-    /// subsequent cycle (see [`Channel::forget_accepted_ids`]).
-    pub fn sabotage_forget_accepted(&mut self) {
-        self.sabotage_forget_accepted = true;
     }
 
     /// Total packets the workload will inject.
@@ -168,8 +157,9 @@ impl<A: Arbiter, F: Flow> ChannelModel<A, F> {
         self.delivered.len() as u64
     }
 
-    /// The channel under the model, for tests that drive its phases
-    /// directly instead of through [`CycleFsm::step`].
+    /// The channel under the model: for tests that step it directly
+    /// instead of through [`CycleFsm::step`], and for the checker's
+    /// self-test, which arms [`Channel::disable_duplicate_suppression`].
     pub fn channel_mut(&mut self) -> &mut Channel<A, F> {
         &mut self.ch
     }
@@ -248,34 +238,18 @@ impl<A: Arbiter + Clone, F: Flow + Clone> CycleFsm for ChannelModel<A, F> {
             self.remaining[idx] -= 1;
             self.metrics.generated += 1;
         }
-        if self.sabotage_forget_accepted {
-            self.ch.forget_accepted_ids();
-        }
         let abandoned_before = self.metrics.abandoned;
         let destroyed_before = self.fault_destroyed();
         self.scratch.clear();
         let now = self.now;
-        self.ch.phase_advance();
-        self.ch.phase_arrival(now, &mut self.metrics);
-        self.ch.phase_acks(now, &mut self.metrics);
-        self.ch.phase_transmit(now, &mut self.metrics);
-        self.ch.phase_tokens(now, &mut self.metrics);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.ch.phase_eject(now, &mut self.metrics, &mut scratch);
+        self.ch.step(now, &mut self.metrics, &mut self.scratch);
         self.now += 1;
         let mut events = CycleEvents::default();
-        let mut duplicate = None;
-        for d in &scratch {
-            if self.delivered.insert(d.pkt.id) {
-                events.delivered.push(d.pkt.id);
-            } else {
-                duplicate = Some(d.pkt.id);
-                break;
+        for d in &self.scratch {
+            if !self.delivered.insert(d.pkt.id) {
+                return Err(format!("packet {} delivered twice", d.pkt.id));
             }
-        }
-        self.scratch = scratch;
-        if let Some(id) = duplicate {
-            return Err(format!("packet {id} delivered twice"));
+            events.delivered.push(d.pkt.id);
         }
         events.abandoned = self.metrics.abandoned - abandoned_before;
         events.destroyed = self.fault_destroyed() - destroyed_before;

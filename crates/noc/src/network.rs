@@ -17,6 +17,7 @@ use crate::packet::Packet;
 use crate::schemes::{
     CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow, SlotFlow,
 };
+use crate::sources::TRAFFIC_SEED_XOR;
 use pnoc_sim::{Cycle, RunPlan};
 
 /// Monomorphized channel storage: one variant per scheme family, each
@@ -154,7 +155,7 @@ impl Layer for Mwsr {
         deliveries: &mut Vec<Delivery>,
     ) {
         // One monomorphization branch for the whole cycle: inject drain plus
-        // all six phases run over the concrete channel type.
+        // every channel's step run over the concrete channel type.
         for_channels!(&mut self.channels, chs => {
             if inject_cal.is_empty() {
                 inject_cal.fast_forward(now);
@@ -165,12 +166,7 @@ impl Layer for Mwsr {
                 }
             }
             for ch in chs.iter_mut() {
-                ch.phase_advance();
-                ch.phase_arrival(now, metrics);
-                ch.phase_acks(now, metrics);
-                ch.phase_transmit(now, metrics);
-                ch.phase_tokens(now, metrics);
-                ch.phase_eject(now, metrics, deliveries);
+                ch.step(now, metrics, deliveries);
             }
         });
         if let Some(s) = self.sampler.as_mut() {
@@ -322,6 +318,17 @@ impl Network {
             ..Audit::default()
         }));
     }
+
+    /// Checker self-test hook: plant the duplicate-delivery bug in every
+    /// channel ([`Channel::disable_duplicate_suppression`]), which an
+    /// attached auditor must then report. Never armed on a real run.
+    pub fn disable_duplicate_suppression(&mut self) {
+        for_channels!(&mut self.layer.channels, chs => {
+            for ch in chs.iter_mut() {
+                ch.disable_duplicate_suppression();
+            }
+        });
+    }
 }
 
 /// Convenience: build a fresh network and run one synthetic point.
@@ -337,7 +344,7 @@ pub fn run_synthetic_point(
         rate,
         cfg.nodes,
         cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
+        cfg.seed ^ TRAFFIC_SEED_XOR,
     );
     net.run_open_loop(&mut src, plan)
 }
@@ -375,7 +382,7 @@ pub fn run_classed_point_detailed(
         pattern,
         cfg.nodes,
         cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
+        cfg.seed ^ TRAFFIC_SEED_XOR,
     );
     let summary = net.run_open_loop(&mut src, plan);
     PointDetail {
@@ -402,7 +409,7 @@ mod tests {
             rate,
             cfg.nodes,
             cfg.cores_per_node,
-            cfg.seed ^ 0x5EED_0001,
+            cfg.seed ^ TRAFFIC_SEED_XOR,
         );
         let s = net.run_open_loop(&mut src, RunPlan::quick());
         (s, net)
@@ -674,5 +681,31 @@ mod tests {
         assert_eq!(ma.faults_acks_lost, mb.faults_acks_lost);
         assert_eq!(ma.timeout_retransmissions, mb.timeout_retransmissions);
         assert_eq!(ma.duplicates_suppressed, mb.duplicates_suppressed);
+    }
+
+    /// The auditor sees the planted duplicate-delivery bug on the shipped
+    /// step loop: the `pnoc-verify --audit` configuration of DHS with a
+    /// setaside buffer, 1% uniform faults, duplicate suppression disabled.
+    #[test]
+    #[should_panic(expected = "delivered twice")]
+    fn auditor_catches_disabled_duplicate_suppression() {
+        let mut cfg = NetworkConfig::paper_default(Scheme::Dhs { setaside: 1 });
+        cfg.nodes = 8;
+        cfg.cores_per_node = 2;
+        cfg.ring_segments = 8;
+        cfg.input_buffer = 4;
+        let cfg = cfg.with_faults(FaultConfig::uniform(0.01));
+        let mut net = Network::new(cfg).expect("invalid config");
+        net.attach_auditor();
+        net.disable_duplicate_suppression();
+        let mut src = crate::sources::ClassedSource::new(
+            pnoc_traffic::classes::TenantMixKind::SingleClass,
+            0.04,
+            TrafficPattern::UniformRandom,
+            cfg.nodes,
+            cfg.cores_per_node,
+            cfg.seed ^ 0xA0D1_7000,
+        );
+        net.run_open_loop(&mut src, RunPlan::new(0, 1_500, 3_000));
     }
 }

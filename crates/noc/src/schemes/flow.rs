@@ -174,10 +174,10 @@ pub trait Flow {
 
     /// Deliver this cycle's handshakes and fire expired ACK timers.
     /// A no-op for every scheme without a handshake channel; see
-    /// [`HandshakeFlow::phase_acks`] for the real one.
+    /// [`HandshakeFlow::resolve_acks`] for the real one.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn phase_acks(
+    fn resolve_acks(
         &mut self,
         _now: Cycle,
         _home: usize,
@@ -440,7 +440,7 @@ impl HandshakeFlow {
     /// sender's retained copy — the last owner of the arena payload — so
     /// both release the handle here.
     #[allow(clippy::too_many_arguments)]
-    pub fn phase_acks(
+    pub fn resolve_acks(
         &mut self,
         now: Cycle,
         home: usize,
@@ -609,7 +609,7 @@ impl Flow for HandshakeFlow {
     }
 
     #[inline]
-    fn phase_acks(
+    fn resolve_acks(
         &mut self,
         now: Cycle,
         home: usize,
@@ -623,7 +623,7 @@ impl Flow for HandshakeFlow {
         handshake_delay: Cycle,
         m: &mut NetworkMetrics,
     ) {
-        HandshakeFlow::phase_acks(
+        HandshakeFlow::resolve_acks(
             self,
             now,
             home,

@@ -369,7 +369,7 @@ mod tests {
         h.ack_timers.push(std::cmp::Reverse((deadline, 1, 7)));
         for now in 0..=deadline {
             let fired_before = m.timeout_retransmissions;
-            h.phase_acks(
+            h.resolve_acks(
                 now,
                 0,
                 &mut senders,

@@ -7,6 +7,10 @@ use pnoc_traffic::injection::BernoulliInjector;
 use pnoc_traffic::pattern::TrafficPattern;
 use pnoc_traffic::ClassId;
 
+/// Stream-XOR from a network's `seed` to its traffic source's seed, shared
+/// by every driver so a run, its recorded trace and its replay agree.
+pub const TRAFFIC_SEED_XOR: u64 = 0x5EED_0001;
+
 /// A request to inject one packet:
 /// `(source core, destination node, kind, traffic class)`. Untenanted
 /// sources tag everything class 0, the default class.

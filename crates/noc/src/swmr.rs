@@ -394,13 +394,10 @@ impl Layer for Swmr {
                     rx.draining += 1;
                     rx.releases.schedule(available_at, pkt);
                 }
-                metrics.delivered += 1;
                 if pkt.measured {
-                    metrics.delivered_measured += 1;
-                    metrics.record_latency_class(pkt.class, pkt.latency_at(available_at) as f64);
                     rx.served_by_sender[pkt.src_node as usize] += 1;
                 }
-                deliveries.push(Delivery { pkt, available_at });
+                metrics.record_delivery(pkt, available_at, deliveries);
             }
         }
     }

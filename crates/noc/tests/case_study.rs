@@ -44,12 +44,7 @@ fn s2_send_cycle<A: Arbiter, F: Flow>(
     }
     ch.enqueue(pkt(100, 24));
     for now in 0..horizon {
-        ch.phase_advance();
-        ch.phase_arrival(now, &mut m);
-        ch.phase_acks(now, &mut m);
-        ch.phase_transmit(now, &mut m);
-        ch.phase_tokens(now, &mut m);
-        ch.phase_eject(now, &mut m, &mut deliveries);
+        ch.step(now, &mut m, &mut deliveries);
         if let Some(d) = deliveries.iter().find(|d| d.pkt.id == 100) {
             return Some(d.pkt.sent_at);
         }

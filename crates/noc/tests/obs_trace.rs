@@ -4,7 +4,7 @@
 //! the invariant auditor.
 
 use pnoc_noc::network::Network;
-use pnoc_noc::sources::SyntheticSource;
+use pnoc_noc::sources::{SyntheticSource, TRAFFIC_SEED_XOR};
 use pnoc_noc::{NetworkConfig, Scheme};
 use pnoc_obs::EventKind;
 use pnoc_sim::RunPlan;
@@ -17,7 +17,7 @@ fn source_for(cfg: &NetworkConfig, rate: f64) -> SyntheticSource {
         rate,
         cfg.nodes,
         cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
+        cfg.seed ^ TRAFFIC_SEED_XOR,
     )
 }
 

@@ -52,12 +52,7 @@ fn flood_with_stalls<A: Arbiter, F: Flow>(
     let horizon = 60_000u64;
     while now < horizon && !(ch.is_drained() && deliveries.len() == 30) {
         ch.set_ejection_per_cycle(if rng.chance(stall_p) { 0 } else { 1 });
-        ch.phase_advance();
-        ch.phase_arrival(now, &mut m);
-        ch.phase_acks(now, &mut m);
-        ch.phase_transmit(now, &mut m);
-        ch.phase_tokens(now, &mut m);
-        ch.phase_eject(now, &mut m, &mut deliveries);
+        ch.step(now, &mut m, &mut deliveries);
         ch.check_invariants();
         prop_assert!(
             ch.buffer_occupancy() <= buffer,

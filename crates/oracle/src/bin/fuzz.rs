@@ -9,12 +9,14 @@
 //!   the `PNOC_FUZZ_CASES` env var) and fail on any divergence.
 //! * `--cases N` — explicit case count (overrides `--quick`/env).
 //! * `--seed S` — master seed (default 0xD1FF).
-//! * `--sabotage-check` — self-test: requires the
-//!   `sabotage-dup-suppression` feature (which breaks duplicate
-//!   suppression in `pnoc-noc` only) and *expects* to find a divergence,
-//!   proving the harness detects real bugs. Exits 0 when the sabotage is
-//!   caught and shrunk, 1 when it slipped through, 2 when the feature is
-//!   not compiled in.
+//! * `--sabotage-check` — self-test: runs cases with duplicate
+//!   suppression disabled in `pnoc-noc` only (`FuzzCase::sabotage`, armed
+//!   at run time on the default build) and *expects* to find a
+//!   divergence, proving the harness detects real bugs. Exits 0 when the
+//!   sabotage is caught and shrunk, 1 when it slipped through.
+//!
+//! Other runs exit 0 when every case agrees, 1 on a divergence (or when
+//! the cases miss one of the seven schemes), and 2 on a bad argument.
 //!
 //! Any divergence is shrunk to a minimal case and printed as a
 //! ready-to-paste regression test.
@@ -142,14 +144,10 @@ fn report_divergence(case: &FuzzCase, index: u64, msg: &str) -> i32 {
     1
 }
 
-/// Self-test: with `sabotage-dup-suppression` compiled into `pnoc-noc`,
+/// Self-test: with duplicate suppression disabled in `pnoc-noc`,
 /// handshake-with-recovery traffic under ACK loss must diverge (the
 /// optimized simulator re-accepts duplicates the oracle suppresses).
 fn run_sabotage_check(seed: u64) -> i32 {
-    if !cfg!(feature = "sabotage-dup-suppression") {
-        eprintln!("fuzz: --sabotage-check requires --features sabotage-dup-suppression");
-        return 2;
-    }
     for index in 0..100 {
         let case = sabotage_case(seed, index);
         if let Some(msg) = check_case(&case) {
@@ -188,5 +186,6 @@ fn sabotage_case(seed: u64, index: u64) -> FuzzCase {
     c.warmup = 20;
     c.measure = 200;
     c.drain = 40;
+    c.sabotage = true;
     c
 }

@@ -58,6 +58,9 @@ pub struct FuzzCase {
     pub seed: u64,
     /// Fault schedule (all-zero = fault-free).
     pub faults: FaultConfig,
+    /// Plant the duplicate-delivery bug in `pnoc-noc` only
+    /// ([`pnoc_noc::Network::disable_duplicate_suppression`]).
+    pub sabotage: bool,
 }
 
 impl FuzzCase {
@@ -161,6 +164,7 @@ impl FuzzCase {
         let _ = writeln!(s, "            max_data_faults: {},", f.max_data_faults);
         let _ = writeln!(s, "            max_ack_faults: {},", f.max_ack_faults);
         let _ = writeln!(s, "        }},");
+        let _ = writeln!(s, "        sabotage: {},", self.sabotage);
         let _ = writeln!(s, "    }};");
         let _ = writeln!(s, "    assert_eq!(pnoc_oracle::check_case(&case), None);");
         let _ = writeln!(s, "}}");
@@ -277,6 +281,7 @@ pub fn generate_case(master: u64, index: u64) -> FuzzCase {
         drain,
         seed,
         faults,
+        sabotage: false,
     }
 }
 

@@ -10,13 +10,9 @@
 
 use crate::cases::FuzzCase;
 use crate::net::RefNetwork;
-use pnoc_noc::sources::TrafficSource;
+use pnoc_noc::sources::{TrafficSource, TRAFFIC_SEED_XOR};
 use pnoc_noc::{ClassedSource, Network, NetworkMetrics, Packet, PacketKind};
 use pnoc_sim::{Cycle, RunPlan};
-
-/// Stream-XOR applied to the config seed before seeding traffic (the
-/// convention `pnoc-noc`'s own experiment drivers use).
-pub const TRAFFIC_SEED_XOR: u64 = 0x5EED_0001;
 
 /// The comparable event counters — every `u64` event counter the optimized
 /// simulator keeps. Derived statistics (latency moments, queue-wait) are
@@ -210,6 +206,9 @@ pub fn run_pair(case: &FuzzCase) -> Result<(RunArtifacts, RunArtifacts), String>
     }
 
     let mut noc = Network::new(cfg)?;
+    if case.sabotage {
+        noc.disable_duplicate_suppression();
+    }
     let mut oracle = RefNetwork::new(cfg)?;
     let mut noc_log = Vec::new();
     let mut oracle_log = Vec::new();
@@ -340,4 +339,30 @@ pub fn check_case(case: &FuzzCase) -> Option<String> {
         ));
     }
     conservation("noc", case, &noc).or_else(|| conservation("oracle", case, &oracle))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cases::generate_case;
+    use pnoc_noc::Scheme;
+
+    /// A handshake case with recovery armed under heavy ACK loss, so
+    /// timeouts retransmit packets the home has already accepted.
+    fn ack_loss_case(sabotage: bool) -> FuzzCase {
+        let mut c = generate_case(0xD1FF, 1);
+        c.scheme = Scheme::Dhs { setaside: 2 };
+        c.faults.ack_loss = 0.05;
+        c.faults.max_ack_faults = u64::MAX;
+        c.rate = 0.2;
+        c.sabotage = sabotage;
+        c
+    }
+
+    #[test]
+    fn disabled_duplicate_suppression_is_detected() {
+        let msg = check_case(&ack_loss_case(true)).expect("the planted bug must diverge");
+        assert!(msg.contains("duplicates_suppressed"), "{msg}");
+        assert_eq!(check_case(&ack_loss_case(false)), None);
+    }
 }

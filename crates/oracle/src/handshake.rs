@@ -11,8 +11,8 @@
 //!
 //! Note the oracle implements duplicate suppression *unconditionally
 //! correctly* — it has no counterpart to `pnoc-noc`'s
-//! `sabotage-dup-suppression` feature. That asymmetry is what lets the
-//! differential harness prove it detects real divergence.
+//! `Network::disable_duplicate_suppression` switch. That asymmetry is what
+//! lets the differential harness prove it detects real divergence.
 
 use crate::channel::{RefChannel, RefToken};
 use crate::diff::Counters;

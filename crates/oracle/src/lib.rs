@@ -14,7 +14,8 @@
 //! * shared: [`pnoc_noc::NetworkConfig`], [`pnoc_noc::Scheme`],
 //!   [`pnoc_noc::FairnessPolicy`], [`pnoc_noc::Packet`] /
 //!   [`pnoc_noc::PacketKind`], the traffic layer
-//!   ([`pnoc_noc::SyntheticSource`], `pnoc-traffic` patterns), and the
+//!   ([`pnoc_noc::SyntheticSource`], `pnoc-traffic` patterns, the traffic
+//!   seed derivation [`pnoc_noc::sources::TRAFFIC_SEED_XOR`]), and the
 //!   `pnoc-faults` injector (both simulators must see the *same* fault
 //!   schedule for a diff to mean anything);
 //! * **not** shared: `Channel`, the scheme pipeline (`with_scheme!` and
@@ -30,7 +31,9 @@
 //! sampler), [`diff::check_case`] (run both simulators, compare), and
 //! [`cases::shrink`] (greedy minimization of a divergent case). The `fuzz`
 //! binary wires them into ci.sh (`--quick` smoke, `--sabotage-check`
-//! self-test).
+//! self-test). The self-test sets [`cases::FuzzCase::sabotage`], which
+//! disables duplicate suppression in `pnoc-noc` at run time — never in the
+//! oracle — so it runs on the default build.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,6 +59,7 @@ fn pinned(scheme: Scheme) -> FuzzCase {
         faults: FaultConfig::none(),
         admission: AdmissionPolicy::None,
         mix: TenantMixKind::SingleClass,
+        sabotage: false,
     }
 }
 

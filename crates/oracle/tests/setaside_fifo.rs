@@ -92,6 +92,7 @@ proptest! {
             faults,
             admission: AdmissionPolicy::None,
             mix: TenantMixKind::SingleClass,
+            sabotage: false,
         };
         let (noc, oracle) = run_pair(&case).expect("case is valid");
 

@@ -103,14 +103,14 @@ impl Scenario {
 
     /// [`Scenario::check`], optionally with the intentional
     /// duplicate-suppression bug armed
-    /// ([`ChannelModel::sabotage_forget_accepted`]).
+    /// ([`pnoc_noc::channel::Channel::disable_duplicate_suppression`]).
     fn explore(&self, cfg: &CheckConfig, sabotage: bool) -> CheckOutcome {
         let net = self.network_config();
         pnoc_noc::with_scheme!(&net, |arbiter, flow| {
             let mut model =
                 ChannelModel::new(&net, arbiter, flow, &self.senders, self.packets_each);
             if sabotage {
-                model.sabotage_forget_accepted();
+                model.channel_mut().disable_duplicate_suppression();
             }
             check(&model, cfg)
         })
@@ -220,10 +220,10 @@ pub fn render_results(results: &[ScenarioResult]) -> (String, bool) {
 
 /// Self-test: prove the checker can produce a counterexample. Arms the
 /// intentional bug (duplicate suppression disabled via
-/// [`ChannelModel::sabotage_forget_accepted`]) under a lost-ACK schedule:
-/// the home delivers the packet, the ACK dies, recovery retransmits, and
-/// the sabotaged home delivers it again. The checker must return a
-/// duplicate-delivery violation with a concrete schedule.
+/// [`pnoc_noc::channel::Channel::disable_duplicate_suppression`]) under a
+/// lost-ACK schedule: the home delivers the packet, the ACK dies, recovery
+/// retransmits, and the sabotaged home delivers it again. The checker must
+/// return a duplicate-delivery violation with a concrete schedule.
 pub fn duplicate_bug_counterexample() -> CheckOutcome {
     let scenario = Scenario {
         scheme: Scheme::Dhs { setaside: 1 },

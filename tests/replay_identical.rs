@@ -9,7 +9,7 @@
 //! means a recorded trace is a complete, replayable description of a run.
 
 use nanophotonic_handshake::{noc::metrics::RunSummary, prelude::*};
-use nanophotonic_handshake::{noc::SyntheticSource, trace};
+use nanophotonic_handshake::{noc::sources::TRAFFIC_SEED_XOR, noc::SyntheticSource, trace};
 
 fn bytes(s: &RunSummary) -> String {
     serde_json::to_string(s).expect("summary serializes")
@@ -32,7 +32,7 @@ fn record_then_replay(cfg: NetworkConfig, rate: f64) -> (RunSummary, RunSummary,
         rate,
         cfg.nodes,
         cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
+        cfg.seed ^ TRAFFIC_SEED_XOR,
     );
     let (recorded, encoded, stats) =
         trace::record_run(cfg, &mut src, plan, Vec::new()).expect("record");
@@ -95,7 +95,7 @@ fn replay_under_a_different_seed_diverges() {
         0.40,
         cfg.nodes,
         cfg.cores_per_node,
-        cfg.seed ^ 0x5EED_0001,
+        cfg.seed ^ TRAFFIC_SEED_XOR,
     );
     let (recorded, encoded, _) =
         trace::record_run(cfg, &mut src, plan, Vec::new()).expect("record");
