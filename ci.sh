@@ -127,8 +127,10 @@ echo "fleet smoke: interrupted+resumed report (torn tail skipped) is byte-identi
 
 echo "== pnoc-bench serve smoke (NDJSON protocol) =="
 # One scripted session: set ckpt_every (the reply echoes the applied knobs
-# and epoch 1), run a small sweep (streams one cell line per aggregation
-# cell, then a done line), reject a mistyped set, a malformed line, a
+# and epoch 1), reject a sweep whose hotspot target is past the base's
+# node count (an error line rather than a panicking worker that kills the
+# service, so the next sweep still runs), run a small sweep (streams one
+# cell line per aggregation cell, then a done line), reject a mistyped set, a malformed line, a
 # line nested 100k arrays deep (past the JSON parser's depth limit, so an
 # error rather than a stack overflow), a sweep whose warmup + measure +
 # drain overflows u64 (an error rather than an empty "complete" cell) and a
@@ -137,6 +139,7 @@ echo "== pnoc-bench serve smoke (NDJSON protocol) =="
 NESTED=$(head -c 100000 /dev/zero | tr '\0' '[')
 printf '%s\n' \
   '{"set":{"ckpt_every":4}}' \
+  '{"id":"hotspot","sweep":{"base":"Small","schemes":["TokenSlot"],"patterns":[{"Hotspot":{"target":999,"fraction":0.5}}],"rates":[0.05],"replicas":1,"master_seed":7,"warmup":50,"measure":200,"drain":50}}' \
   '{"id":"ci","sweep":{"base":"Small","schemes":["TokenSlot"],"patterns":["UniformRandom"],"rates":[0.05,0.1],"replicas":2,"master_seed":7,"warmup":50,"measure":200,"drain":50}}' \
   '{"set":{"ckpt_every":"4"}}' \
   'this is not json' \
@@ -150,8 +153,8 @@ grep -q '"ok":true,"epoch":1,"ckpt_every":4' "$FLEET_DIR/serve.ndjson"
 grep -q '"done":true' "$FLEET_DIR/serve.ndjson"
 grep -q '"complete":true' "$FLEET_DIR/serve.ndjson"
 errors=$(grep -c '"error":' "$FLEET_DIR/serve.ndjson" || true)
-if [ "$errors" -ne 5 ]; then
-  echo "serve smoke: expected 5 error lines (mistyped set, non-JSON, too deep, overflowing plan, overflowing job count), got $errors" >&2
+if [ "$errors" -ne 6 ]; then
+  echo "serve smoke: expected 6 error lines (out-of-range hotspot, mistyped set, non-JSON, too deep, overflowing plan, overflowing job count), got $errors" >&2
   exit 1
 fi
 grep -q '"bye":true' "$FLEET_DIR/serve.ndjson"

@@ -93,78 +93,55 @@ impl Curve {
     }
 }
 
-/// Sweep `schemes × rates` under `pattern`, one simulation per point, on
-/// the shared fleet. `configure` may adjust the per-run config (credits,
-/// fairness…); it runs on fleet worker threads, hence the `Send + 'static`
-/// bounds.
+/// One curve per `(label, param)`, one point per `x`: `run(param, x)`
+/// simulates a point. The whole grid goes to the shared fleet as one batch
+/// and comes back in curve order; every job is a pure function of its
+/// inputs, so how curves are batched never changes a result. `run` runs on
+/// fleet worker threads, hence the `Send + 'static` bounds.
+fn sweep_curves<P: Clone + Send + Sync + 'static>(
+    curves: Vec<(String, P)>,
+    xs: &[f64],
+    run: impl Fn(&P, f64) -> RunSummary + Send + Sync + 'static,
+) -> Vec<Curve> {
+    let jobs: Vec<(P, f64)> = curves
+        .iter()
+        .flat_map(|(_, p)| xs.iter().map(move |&x| (p.clone(), x)))
+        .collect();
+    let mut summaries = fleet().map(jobs, move |_, (p, x)| run(p, *x)).into_iter();
+    curves
+        .into_iter()
+        .map(|(label, _)| Curve {
+            label,
+            points: xs
+                .iter()
+                .copied()
+                .zip(summaries.by_ref().take(xs.len()))
+                .collect(),
+        })
+        .collect()
+}
+
+/// Sweep `schemes × rates` under `pattern` on the paper network, one
+/// simulation per point.
 pub fn latency_curves(
     schemes: &[(String, Scheme)],
     pattern: TrafficPattern,
     rates: &[f64],
     plan: RunPlan,
-    configure: impl Fn(&mut NetworkConfig) + Send + Sync + 'static,
 ) -> Vec<Curve> {
-    let jobs: Vec<(usize, Scheme, f64)> = schemes
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &(_, s))| rates.iter().map(move |&r| (i, s, r)))
-        .collect();
-    let summaries = fleet().map(jobs, move |_, &(_, scheme, rate)| {
-        let mut cfg = NetworkConfig::paper_default(scheme);
-        configure(&mut cfg);
-        run_synthetic_point(cfg, pattern, rate, plan)
-    });
-    schemes
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| Curve {
-            label: label.clone(),
-            points: rates
-                .iter()
-                .copied()
-                .zip(
-                    summaries[i * rates.len()..(i + 1) * rates.len()]
-                        .iter()
-                        .cloned(),
-                )
-                .collect(),
-        })
-        .collect()
+    sweep_curves(schemes.to_vec(), rates, move |&scheme, rate| {
+        run_synthetic_point(NetworkConfig::paper_default(scheme), pattern, rate, plan)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 2(b): token slot with different credit counts, UR.
 // ---------------------------------------------------------------------------
 
-/// Fig. 2(b): one curve per credit count ∈ {4, 8, 16, 32}.
+/// Fig. 2(b): one curve per credit count ∈ {4, 8, 16, 32} — the Token Slot
+/// row of the Fig. 11 credit study.
 pub fn fig2b(fid: Fidelity) -> Vec<Curve> {
-    let rates = fid.rates(crate::grids::ur_rates_dense());
-    let credits = [4usize, 8, 16, 32];
-    let jobs: Vec<(usize, f64)> = credits
-        .iter()
-        .flat_map(|&c| rates.iter().map(move |&r| (c, r)))
-        .collect();
-    let summaries = fleet().map(jobs, move |_, &(c, rate)| {
-        let mut cfg = NetworkConfig::paper_default(Scheme::TokenSlot);
-        cfg.input_buffer = c;
-        run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan())
-    });
-    credits
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| Curve {
-            label: format!("Credit_{c}"),
-            points: rates
-                .iter()
-                .copied()
-                .zip(
-                    summaries[i * rates.len()..(i + 1) * rates.len()]
-                        .iter()
-                        .cloned(),
-                )
-                .collect(),
-        })
-        .collect()
+    credit_curves(Scheme::TokenSlot, fid)
 }
 
 // ---------------------------------------------------------------------------
@@ -223,7 +200,7 @@ pub fn fig8(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
     pattern_grids(fid)
         .into_iter()
         .map(|(p, rates)| {
-            let curves = latency_curves(&global_group(), p, &rates, fid.plan(), |_| {});
+            let curves = latency_curves(&global_group(), p, &rates, fid.plan());
             (p.label().to_string(), curves)
         })
         .collect()
@@ -234,7 +211,7 @@ pub fn fig9(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
     pattern_grids(fid)
         .into_iter()
         .map(|(p, rates)| {
-            let curves = latency_curves(&distributed_group(), p, &rates, fid.plan(), |_| {});
+            let curves = latency_curves(&distributed_group(), p, &rates, fid.plan());
             (p.label().to_string(), curves)
         })
         .collect()
@@ -284,51 +261,33 @@ pub fn fairness_vs_load(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
     let schemes = fairness_group();
     let mixes = fairness_mixes();
     let plan = fid.plan();
-    // Job grid: mix-major, then scheme, then admission, then rate —
-    // mirrors the curve layout below so results slice back contiguously.
-    let jobs: Vec<(TenantMixKind, Scheme, bool, f64)> = mixes
+    // Mix-major, then scheme, then baseline before QoS.
+    let params: Vec<(String, (TenantMixKind, Scheme, bool))> = mixes
         .iter()
         .flat_map(|&mix| {
-            let rates = &rates;
-            schemes.iter().flat_map(move |&(_, scheme)| {
-                [false, true]
-                    .into_iter()
-                    .flat_map(move |qos| rates.iter().map(move |&rate| (mix, scheme, qos, rate)))
+            schemes.iter().flat_map(move |(label, scheme)| {
+                [
+                    (label.clone(), (mix, *scheme, false)),
+                    (format!("{label} +QoS"), (mix, *scheme, true)),
+                ]
             })
         })
         .collect();
-    let summaries = fleet().map(jobs, move |_, &(mix, scheme, qos, rate)| {
+    let curves = sweep_curves(params, &rates, move |&(mix, scheme, qos), rate| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         if qos {
             cfg.admission = fairness_admission();
         }
         run_classed_point_detailed(cfg, mix, TrafficPattern::UniformRandom, rate, plan).summary
     });
-    let mut out = Vec::new();
-    let mut cursor = 0usize;
-    for mix in &mixes {
-        let mut curves = Vec::new();
-        for (label, _) in &schemes {
-            for qos in [false, true] {
-                let points: Vec<(f64, RunSummary)> = rates
-                    .iter()
-                    .copied()
-                    .zip(summaries[cursor..cursor + rates.len()].iter().cloned())
-                    .collect();
-                cursor += rates.len();
-                curves.push(Curve {
-                    label: if qos {
-                        format!("{label} +QoS")
-                    } else {
-                        label.clone()
-                    },
-                    points,
-                });
-            }
-        }
-        out.push((mix.label().to_string(), curves));
-    }
-    out
+    let mut curves = curves.into_iter();
+    mixes
+        .iter()
+        .map(|mix| {
+            let per_mix = curves.by_ref().take(2 * schemes.len()).collect();
+            (mix.label().to_string(), per_mix)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -446,44 +405,22 @@ pub fn fig11_credits(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
         ),
         ("DHS w/ Circulation".into(), Scheme::DhsCirculation),
     ];
-    let rates = fid.rates(crate::grids::ur_rates_dense());
-    let credits = [4usize, 8, 16, 32];
     schemes
         .into_iter()
-        .map(|(label, scheme)| {
-            let credit_curves: Vec<(String, Scheme)> = credits
-                .iter()
-                .map(|&c| (format!("Credit_{c}"), scheme))
-                .collect();
-            // Each "scheme" row is the same scheme at a different buffer size.
-            let jobs: Vec<(usize, f64)> = credits
-                .iter()
-                .flat_map(|&c| rates.iter().map(move |&r| (c, r)))
-                .collect();
-            let summaries = fleet().map(jobs, move |_, &(c, rate)| {
-                let mut cfg = NetworkConfig::paper_default(scheme);
-                cfg.input_buffer = c;
-                run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan())
-            });
-            let curves = credit_curves
-                .iter()
-                .enumerate()
-                .map(|(i, (clabel, _))| Curve {
-                    label: clabel.clone(),
-                    points: rates
-                        .iter()
-                        .copied()
-                        .zip(
-                            summaries[i * rates.len()..(i + 1) * rates.len()]
-                                .iter()
-                                .cloned(),
-                        )
-                        .collect(),
-                })
-                .collect();
-            (label, curves)
-        })
+        .map(|(label, scheme)| (label, credit_curves(scheme, fid)))
         .collect()
+}
+
+/// One scheme's credit study under UR: a latency-vs-load curve per credit
+/// (input buffer) count ∈ {4, 8, 16, 32}.
+fn credit_curves(scheme: Scheme, fid: Fidelity) -> Vec<Curve> {
+    let credits = [4usize, 8, 16, 32].map(|c| (format!("Credit_{c}"), c));
+    let rates = fid.rates(crate::grids::ur_rates_dense());
+    sweep_curves(credits.to_vec(), &rates, move |&c, rate| {
+        let mut cfg = NetworkConfig::paper_default(scheme);
+        cfg.input_buffer = c;
+        run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan())
+    })
 }
 
 /// Fig. 11(f): GHS and DHS latency at UR 0.11 for setaside ∈ {1,2,4,8,16}.
@@ -600,32 +537,14 @@ pub fn resilience_curves(
     plan: RunPlan,
     base: impl Fn(Scheme) -> NetworkConfig + Send + Sync + 'static,
 ) -> Vec<Curve> {
-    let schemes = resilience_group();
-    let jobs: Vec<(usize, Scheme, f64)> = schemes
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &(_, s))| fault_rates.iter().map(move |&f| (i, s, f)))
-        .collect();
-    let summaries = fleet().map(jobs, move |_, &(_, scheme, fault_rate)| {
-        let cfg = base(scheme).with_faults(pnoc_noc::FaultConfig::uniform(fault_rate));
-        run_synthetic_point(cfg, TrafficPattern::UniformRandom, load, plan)
-    });
-    schemes
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| Curve {
-            label: label.clone(),
-            points: fault_rates
-                .iter()
-                .copied()
-                .zip(
-                    summaries[i * fault_rates.len()..(i + 1) * fault_rates.len()]
-                        .iter()
-                        .cloned(),
-                )
-                .collect(),
-        })
-        .collect()
+    sweep_curves(
+        resilience_group(),
+        fault_rates,
+        move |&scheme, fault_rate| {
+            let cfg = base(scheme).with_faults(pnoc_noc::FaultConfig::uniform(fault_rate));
+            run_synthetic_point(cfg, TrafficPattern::UniformRandom, load, plan)
+        },
+    )
 }
 
 /// The `resilience` harness: the paper-scale network under the standard

@@ -117,6 +117,13 @@ impl SweepSpec {
             ));
         }
         validate_windows(self.warmup, self.measure, self.drain)?;
+        // A pattern the base's node count cannot host would panic inside
+        // the worker that builds its source.
+        let nodes = self.base_config(self.schemes[0]).nodes;
+        for p in &self.patterns {
+            p.validate(nodes)
+                .map_err(|why| format!("pattern {}: {why} ({nodes} nodes)", p.label()))?;
+        }
         // The Bernoulli injector fires at most once per core per cycle, so
         // a rate above 1 would run at 1 while being reported as asked.
         for &r in &self.rates {
@@ -200,13 +207,18 @@ impl SweepSpec {
         RunPlan::new(self.warmup, self.measure, self.drain)
     }
 
+    /// The base network configuration for `scheme`.
+    fn base_config(&self, scheme: Scheme) -> NetworkConfig {
+        match self.base {
+            SweepBase::Paper => NetworkConfig::paper_default(scheme),
+            SweepBase::Small => NetworkConfig::small(scheme),
+        }
+    }
+
     /// Run job `index`: a pure function of `(self, index)`.
     pub fn run_job(&self, index: u64) -> PointDetail {
         let (scheme, pattern, rate, mix) = self.cell_params(self.cell_of(index));
-        let mut cfg = match self.base {
-            SweepBase::Paper => NetworkConfig::paper_default(scheme),
-            SweepBase::Small => NetworkConfig::small(scheme),
-        };
+        let mut cfg = self.base_config(scheme);
         cfg.seed = self.job_seed(index);
         cfg.admission = self.admission;
         run_classed_point_detailed(cfg, mix, pattern, rate, self.plan())
@@ -332,6 +344,34 @@ mod tests {
         assert!(err.contains("[0, 1]"), "{err}");
         spec.rates = vec![0.0, 1.0];
         spec.validate().expect("the closed range [0, 1] is valid");
+    }
+
+    #[test]
+    fn validation_rejects_a_pattern_the_base_cannot_host() {
+        let mut spec = SweepSpec::demo();
+        spec.patterns = vec![TrafficPattern::Hotspot {
+            target: 999,
+            fraction: 0.5,
+        }];
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("hotspot target out of range"), "{err}");
+        // The small base has 16 nodes: node 15 exists, a transpose does
+        // (4 × 4), and the paper base's 64 nodes host both too.
+        spec.patterns = vec![
+            TrafficPattern::Hotspot {
+                target: 15,
+                fraction: 0.5,
+            },
+            TrafficPattern::Transpose,
+        ];
+        spec.validate().expect("patterns the small base can host");
+        spec.base = SweepBase::Paper;
+        spec.validate().expect("patterns the paper base can host");
+        spec.patterns = vec![TrafficPattern::Hotspot {
+            target: 64,
+            fraction: 0.5,
+        }];
+        assert!(spec.validate().is_err(), "node 64 is past the paper ring");
     }
 
     #[test]

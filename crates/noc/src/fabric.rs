@@ -18,6 +18,7 @@ use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::packet::{Packet, PacketKind};
 use crate::sources::{InjectionRequest, TrafficSource};
 use pnoc_sim::{Clock, Cycle, RunPlan};
+use pnoc_traffic::TraceEvent;
 
 pub(crate) mod sealed {
     /// Keeps [`super::Layer`] implementable only inside this crate.
@@ -71,6 +72,27 @@ pub trait Layer: sealed::Sealed + Sized {
     fn service_counts(&self) -> Vec<&[u64]>;
 }
 
+/// A sink for live injections: the surface a trace recorder plugs into.
+///
+/// Attached with [`Fabric::attach_recorder`], it receives every injection
+/// synchronously, in simulation order, as the same [`TraceEvent`] a PTRC
+/// stream stores. The capture boundary is deliberate: **injections, not
+/// deliveries**. A recorded stream is the network's input; replaying it
+/// re-simulates everything downstream (arbitration, faults, retries), which
+/// is what makes bit-identical replay possible without recording any
+/// internal state. Implementations must not feed anything back into the
+/// simulation, and defer I/O error reporting to their own finish step:
+/// `on_inject` has no error channel because the simulator cannot
+/// meaningfully handle one mid-cycle.
+pub trait InjectSubscriber: std::fmt::Debug {
+    /// Called once per injection, synchronously, in simulation order.
+    fn on_inject(&mut self, ev: TraceEvent);
+
+    /// Recover the concrete subscriber after detaching it from the network
+    /// (e.g. to finish and close an underlying writer).
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
+}
+
 /// A fabric: the shared injection pipeline and run driver around one
 /// [`Layer`]. Use it through its aliases [`crate::Network`],
 /// [`crate::SwmrNetwork`] and [`crate::MeshNetwork`].
@@ -86,7 +108,7 @@ pub struct Fabric<L> {
     /// Live injection subscriber; `None` until [`Fabric::attach_recorder`]
     /// is called. Sees every injection in simulation order — the capture
     /// surface for trace recording.
-    recorder: Option<Box<dyn pnoc_obs::InjectSubscriber>>,
+    recorder: Option<Box<dyn InjectSubscriber>>,
 }
 
 impl<L: Layer> Fabric<L> {
@@ -131,15 +153,15 @@ impl<L: Layer> Fabric<L> {
     /// previously attached subscriber (returned to the caller).
     pub fn attach_recorder(
         &mut self,
-        recorder: Box<dyn pnoc_obs::InjectSubscriber>,
-    ) -> Option<Box<dyn pnoc_obs::InjectSubscriber>> {
+        recorder: Box<dyn InjectSubscriber>,
+    ) -> Option<Box<dyn InjectSubscriber>> {
         self.recorder.replace(recorder)
     }
 
     /// Detach and return the attached injection subscriber, if any (use
-    /// [`pnoc_obs::InjectSubscriber::into_any`] to recover the concrete
+    /// [`InjectSubscriber::into_any`] to recover the concrete
     /// type and finish its output).
-    pub fn detach_recorder(&mut self) -> Option<Box<dyn pnoc_obs::InjectSubscriber>> {
+    pub fn detach_recorder(&mut self) -> Option<Box<dyn InjectSubscriber>> {
         self.recorder.take()
     }
 
@@ -208,7 +230,7 @@ impl<L: Layer> Fabric<L> {
         self.metrics
             .trace(now, dst_node, src_node, id, pnoc_obs::EventKind::Inject);
         if let Some(rec) = self.recorder.as_deref_mut() {
-            record_injection(rec, &pkt);
+            record_injection(rec, &pkt, src_core, dst_node);
         }
         self.inject_cal
             .schedule(now + self.layer.router_latency(), pkt);
@@ -289,16 +311,17 @@ impl<L: Layer> Fabric<L> {
 /// unrecorded run pays one predictable branch per injection.
 #[cold]
 #[inline(never)]
-fn record_injection(rec: &mut dyn pnoc_obs::InjectSubscriber, pkt: &Packet) {
-    rec.on_inject(pnoc_obs::InjectRecord {
+fn record_injection(
+    rec: &mut dyn InjectSubscriber,
+    pkt: &Packet,
+    src_core: usize,
+    dst_node: usize,
+) {
+    rec.on_inject(TraceEvent {
         cycle: pkt.generated_at,
-        src_core: pkt.src_core,
-        dst_node: pkt.dst_node,
-        kind: match pkt.kind {
-            PacketKind::Request => pnoc_obs::InjectKind::Request,
-            PacketKind::Reply => pnoc_obs::InjectKind::Reply,
-            PacketKind::Data => pnoc_obs::InjectKind::Data,
-        },
+        src_core,
+        dst_node,
+        kind: pkt.kind,
         class: pkt.class,
     });
 }

@@ -3,17 +3,7 @@
 use pnoc_sim::Cycle;
 use serde::{Deserialize, Serialize};
 
-/// Protocol role of a packet, used by the closed-loop CMP model; the open-loop
-/// network treats all kinds identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PacketKind {
-    /// Cache-miss request (core → L2 bank).
-    Request,
-    /// Data reply (L2 bank → core).
-    Reply,
-    /// Anything else.
-    Data,
-}
+pub use pnoc_traffic::PacketKind;
 
 /// One single-flit packet.
 ///

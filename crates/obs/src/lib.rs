@@ -3,9 +3,12 @@
 //! The paper's headline figures are latency-vs-load curves that matter most
 //! *near saturation* — exactly where end-to-end averages stop explaining
 //! anything. This crate is the workspace's observability layer: structured
-//! packet-lifecycle traces, per-channel occupancy time-series, live
-//! injection subscribers, and a latency recorder whose range is effectively
-//! unbounded (so tail percentiles are never silently clipped).
+//! packet-lifecycle traces, per-channel occupancy time-series, and a latency
+//! recorder whose range is effectively unbounded (so tail percentiles are
+//! never silently clipped). The live injection hook a PTRC recorder plugs
+//! into is `pnoc_noc::InjectSubscriber`, not part of this crate: the record
+//! it carries, `pnoc_traffic::TraceEvent`, lives in a crate this one does
+//! not depend on.
 //!
 //! Design rules:
 //!
@@ -33,12 +36,10 @@
 pub mod event;
 pub mod latency;
 pub mod sampler;
-pub mod subscribe;
 pub mod svg;
 pub mod trace;
 
 pub use event::{Event, EventKind, NO_PACKET};
 pub use latency::{LatencyRecorder, SparseLatency, CAP_LOG2, SUB_BUCKETS};
 pub use sampler::{ChannelSample, OccupancySampler};
-pub use subscribe::{InjectKind, InjectRecord, InjectSubscriber};
 pub use trace::{ObsSink, RingTrace, TraceExport};

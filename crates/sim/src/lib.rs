@@ -6,8 +6,8 @@
 //! * [`Cycle`] / [`Clock`] — discrete simulation time,
 //! * [`rng::SimRng`] — a small, fast, fully deterministic PRNG (xoshiro256**),
 //!   so that every experiment is reproducible from a seed,
-//! * [`stats`] — streaming statistics (Welford mean/variance, histograms with
-//!   percentiles, rate meters, Jain fairness index),
+//! * [`stats`] — streaming statistics (Welford mean/variance, the exact
+//!   quantile oracle, Jain fairness index),
 //! * [`sweep`] — the worker-thread policy the `pnoc-fleet` executor sizes
 //!   parallel sweeps by (each sweep point is an independent simulation),
 //! * [`plan::RunPlan`] — the warmup/measure/drain phase protocol used by all
@@ -35,4 +35,4 @@ pub use exact::ExactSum;
 pub use plan::{Phase, RunPlan};
 pub use rangeset::{IndexRange, RangeSet};
 pub use rng::SimRng;
-pub use stats::{exact_quantile, Histogram, Running};
+pub use stats::{exact_quantile, Running};

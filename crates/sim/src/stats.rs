@@ -106,123 +106,6 @@ impl Running {
     }
 }
 
-/// Fixed-width-bin histogram over `[0, bins * width)` with an overflow bucket.
-///
-/// Used for packet-latency distributions: the paper's figures clip at 100
-/// cycles, so a default of 512 one-cycle bins comfortably covers the range
-/// while keeping percentile queries exact for everything that matters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// `bins` buckets of `width` each, plus an overflow bucket.
-    pub fn new(bins: usize, width: f64) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(width > 0.0, "bin width must be positive");
-        Self {
-            width,
-            counts: vec![0; bins],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// One-cycle-wide bins — the usual configuration for latency in cycles.
-    pub fn cycles(bins: usize) -> Self {
-        Self::new(bins, 1.0)
-    }
-
-    /// Record one observation (negative values clamp to bin 0).
-    #[inline]
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < 0.0 {
-            self.counts[0] += 1;
-            return;
-        }
-        let idx = (x / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Merge another histogram with identical geometry.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.width, other.width, "bin width mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "bin count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-    }
-
-    /// Total observations recorded (including overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Observations that exceeded the binned range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as the upper edge of the bucket that
-    /// contains it; `NaN` when empty, `+inf` when the quantile falls in the
-    /// overflow bucket.
-    ///
-    /// The `+inf` case is why packet-latency percentiles no longer use this
-    /// type: any tail past `bins * width` is reported as infinite, which
-    /// silently clips near-saturation p99s. `pnoc_obs::LatencyRecorder`
-    /// keeps the same rank convention (see [`exact_quantile`]) with
-    /// log-bucketed range out to 2^40 and an explicit overflow counter.
-    /// `Histogram` remains correct for bounded-range data.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.total == 0 {
-            return f64::NAN;
-        }
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.width;
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Mean computed from bucket midpoints (overflow excluded).
-    pub fn binned_mean(&self) -> f64 {
-        if self.total == self.overflow {
-            return f64::NAN;
-        }
-        let mut acc = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += (i as f64 + 0.5) * self.width * c as f64;
-        }
-        acc / (self.total - self.overflow) as f64
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
 /// The exact `q`-quantile of a sample set, by the same rank convention the
 /// binned estimators use: the value of the `ceil(q * n).max(1)`-th smallest
 /// sample. `NaN` when empty. O(n log n) — this is the test oracle the binned
@@ -318,56 +201,6 @@ mod tests {
         c.merge(&a);
         assert_eq!(c.count(), 1);
         assert_eq!(c.mean(), 3.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::cycles(100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.total(), 100);
-        assert!((h.median() - 50.0).abs() <= 1.0);
-        assert!((h.quantile(0.99) - 99.0).abs() <= 1.0);
-        assert_eq!(h.quantile(0.0), 1.0); // first non-empty bucket's upper edge
-    }
-
-    #[test]
-    fn histogram_overflow() {
-        let mut h = Histogram::cycles(10);
-        h.record(5.0);
-        h.record(1e9);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 2);
-        assert_eq!(h.quantile(1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn histogram_negative_clamps() {
-        let mut h = Histogram::cycles(4);
-        h.record(-3.0);
-        assert_eq!(h.counts()[0], 1);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::cycles(8);
-        let mut b = Histogram::cycles(8);
-        a.record(1.0);
-        b.record(2.0);
-        b.record(100.0);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.overflow(), 1);
-    }
-
-    #[test]
-    fn histogram_binned_mean() {
-        let mut h = Histogram::new(10, 1.0);
-        h.record(2.2);
-        h.record(2.9);
-        // both land in bin 2 => midpoint 2.5
-        assert!((h.binned_mean() - 2.5).abs() < 1e-12);
     }
 
     #[test]

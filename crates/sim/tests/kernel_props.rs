@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel: RNG contracts, statistics
-//! merging, histogram quantiles.
+//! merging, batch means.
 
-use pnoc_sim::stats::{Histogram, Running};
+use pnoc_sim::stats::Running;
 use pnoc_sim::{BatchMeans, SimRng};
 use proptest::prelude::*;
 
@@ -55,27 +55,6 @@ proptest! {
             <= 1e-5 * whole.variance().abs().max(1.0));
         prop_assert_eq!(left.min(), whole.min());
         prop_assert_eq!(left.max(), whole.max());
-    }
-
-    /// Histogram quantiles are monotone in `q` and bounded by recorded data.
-    #[test]
-    fn histogram_quantiles_monotone(
-        data in proptest::collection::vec(0f64..500.0, 1..300),
-    ) {
-        let mut h = Histogram::cycles(512);
-        for &x in &data {
-            h.record(x);
-        }
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-        let mut prev = f64::NEG_INFINITY;
-        for &q in &qs {
-            let v = h.quantile(q);
-            prop_assert!(v >= prev, "quantiles must be monotone");
-            prev = v;
-        }
-        let max = data.iter().cloned().fold(0.0f64, f64::max);
-        // Bucket upper edge can exceed the max by at most one bin width.
-        prop_assert!(h.quantile(1.0) <= max.ceil() + 1.0);
     }
 
     /// Batch means: overall mean equals the plain mean regardless of batch

@@ -24,7 +24,7 @@
 //! well as the payload, so a bit-flip anywhere in a frame is caught.
 
 use pnoc_sim::Cycle;
-use pnoc_traffic::{ClassId, MAX_CLASSES};
+use pnoc_traffic::{ClassId, PacketKind, MAX_CLASSES};
 use std::io::{self, Read};
 
 /// File magic: the first four bytes of every PTRC stream.
@@ -166,27 +166,27 @@ impl<'a> Cursor<'a> {
 /// Pack a message kind (low 2 bits) and class (high nibble) into one byte.
 /// Bits 2–3 are reserved-zero, so every corrupted byte pattern is either a
 /// valid different event (caught by the CRC) or structurally rejected.
-pub(crate) fn pack_kindclass(kind: pnoc_traffic::MessageKind, class: ClassId) -> u8 {
+pub(crate) fn pack_kindclass(kind: PacketKind, class: ClassId) -> u8 {
     let k = match kind {
-        pnoc_traffic::MessageKind::Request => 0u8,
-        pnoc_traffic::MessageKind::Reply => 1,
-        pnoc_traffic::MessageKind::Data => 2,
+        PacketKind::Request => 0u8,
+        PacketKind::Reply => 1,
+        PacketKind::Data => 2,
     };
     debug_assert!(usize::from(class) < MAX_CLASSES);
     k | (class << 4)
 }
 
 /// Inverse of [`pack_kindclass`]; rejects reserved bit patterns.
-pub(crate) fn unpack_kindclass(byte: u8) -> io::Result<(pnoc_traffic::MessageKind, ClassId)> {
+pub(crate) fn unpack_kindclass(byte: u8) -> io::Result<(PacketKind, ClassId)> {
     if byte & 0b0000_1100 != 0 {
         return Err(invalid(format!(
             "kindclass byte {byte:#04x} sets reserved bits"
         )));
     }
     let kind = match byte & 0b11 {
-        0 => pnoc_traffic::MessageKind::Request,
-        1 => pnoc_traffic::MessageKind::Reply,
-        2 => pnoc_traffic::MessageKind::Data,
+        0 => PacketKind::Request,
+        1 => PacketKind::Reply,
+        2 => PacketKind::Data,
         _ => {
             return Err(invalid(format!(
                 "kindclass byte {byte:#04x} has invalid kind"
@@ -414,7 +414,6 @@ pub fn frame_ranges(buf: &[u8]) -> io::Result<(usize, Vec<std::ops::Range<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnoc_traffic::MessageKind;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -449,7 +448,7 @@ mod tests {
 
     #[test]
     fn kindclass_round_trips_and_rejects_reserved() {
-        for kind in [MessageKind::Request, MessageKind::Reply, MessageKind::Data] {
+        for kind in [PacketKind::Request, PacketKind::Reply, PacketKind::Data] {
             for class in 0..MAX_CLASSES as u8 {
                 let byte = pack_kindclass(kind, class);
                 assert_eq!(unpack_kindclass(byte).unwrap(), (kind, class));

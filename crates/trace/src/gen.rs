@@ -9,10 +9,10 @@
 use crate::format::TraceMeta;
 use crate::writer::{TraceWriter, WriteStats};
 use pnoc_noc::sources::InjectionRequest;
-use pnoc_noc::{ClassedSource, PacketKind, TrafficSource};
+use pnoc_noc::{ClassedSource, TrafficSource};
 use pnoc_sim::Cycle;
 use pnoc_traffic::pattern::TrafficPattern;
-use pnoc_traffic::{AppProfile, MessageKind, TenantMixKind, TraceEvent};
+use pnoc_traffic::{AppProfile, TenantMixKind, TraceEvent};
 use std::io::{self, Write};
 
 /// Stream an [`AppProfile::synthesize`] run into `sink` as PTRC.
@@ -93,11 +93,7 @@ pub fn generate_mix<W: Write>(
                 cycle: now,
                 src_core,
                 dst_node,
-                kind: match kind {
-                    PacketKind::Request => MessageKind::Request,
-                    PacketKind::Reply => MessageKind::Reply,
-                    PacketKind::Data => MessageKind::Data,
-                },
+                kind,
                 class,
             })?;
         }

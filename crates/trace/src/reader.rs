@@ -287,14 +287,14 @@ impl<R: Read> Iterator for StreamingTraceReader<R> {
 mod tests {
     use super::*;
     use crate::writer::TraceWriter;
-    use pnoc_traffic::MessageKind;
+    use pnoc_traffic::PacketKind;
 
     fn ev(cycle: Cycle, src_core: usize, dst_node: usize, class: u8) -> TraceEvent {
         TraceEvent {
             cycle,
             src_core,
             dst_node,
-            kind: MessageKind::Request,
+            kind: PacketKind::Request,
             class,
         }
     }

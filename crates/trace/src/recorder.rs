@@ -1,5 +1,7 @@
-//! Live-run recording: a [`pnoc_obs::InjectSubscriber`] that streams every
-//! injection of a `Network` run into PTRC.
+//! Live-run recording: a [`pnoc_noc::InjectSubscriber`] that streams every
+//! injection of a `Network` run into PTRC. The hook hands over the same
+//! [`pnoc_traffic::TraceEvent`] the writer takes, so recording one is a
+//! single [`TraceWriter::push`].
 //!
 //! **Capture boundary**: the recorder sees *injections, not deliveries*. A
 //! recorded stream is the network's input; replaying it through
@@ -10,8 +12,8 @@
 //! ordered injections → same packet ids → same metrics.
 
 use crate::writer::{TraceWriter, WriteStats};
-use pnoc_obs::{InjectKind, InjectRecord, InjectSubscriber};
-use pnoc_traffic::{MessageKind, TraceEvent};
+use pnoc_noc::InjectSubscriber;
+use pnoc_traffic::TraceEvent;
 use std::io::{self, Write};
 
 /// Streams injections into a [`TraceWriter`].
@@ -62,21 +64,10 @@ impl<W: Write> TraceRecorder<W> {
 }
 
 impl<W: Write + 'static> InjectSubscriber for TraceRecorder<W> {
-    fn on_inject(&mut self, rec: InjectRecord) {
+    fn on_inject(&mut self, ev: TraceEvent) {
         if self.error.is_some() {
             return;
         }
-        let ev = TraceEvent {
-            cycle: rec.cycle,
-            src_core: rec.src_core as usize,
-            dst_node: rec.dst_node as usize,
-            kind: match rec.kind {
-                InjectKind::Request => MessageKind::Request,
-                InjectKind::Reply => MessageKind::Reply,
-                InjectKind::Data => MessageKind::Data,
-            },
-            class: rec.class,
-        };
         if let Err(e) = self.writer.push(&ev) {
             self.error = Some(e);
         } else {
@@ -132,31 +123,72 @@ pub fn record_run<W: Write + 'static>(
 mod tests {
     use super::*;
     use crate::format::TraceMeta;
+    use pnoc_noc::{Network, NetworkConfig, PacketKind, Scheme};
+
+    fn read_back(bytes: &[u8]) -> Vec<TraceEvent> {
+        crate::StreamingTraceReader::open(bytes)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .collect()
+    }
 
     #[test]
     fn recorder_collects_injections_in_order() {
         let meta = TraceMeta::new("rec", 8, 4, 100).with_classes(vec![0, 1, 2, 3]);
         let writer = TraceWriter::new(Vec::new(), meta).unwrap();
         let mut rec = TraceRecorder::new(writer);
-        for i in 0..5u64 {
-            rec.on_inject(InjectRecord {
-                cycle: i * 2,
-                src_core: (i % 8) as u32,
-                dst_node: (i % 4) as u32,
-                kind: InjectKind::Request,
-                class: (i % 4) as u8,
+        for i in 0..5u8 {
+            rec.on_inject(TraceEvent {
+                cycle: u64::from(i) * 2,
+                src_core: usize::from(i % 8),
+                dst_node: usize::from(i % 4),
+                kind: PacketKind::Request,
+                class: i % 4,
             });
         }
         assert_eq!(rec.recorded(), 5);
         let (bytes, stats) = rec.finish().unwrap();
         assert_eq!(stats.events, 5);
-        let back: Vec<_> = crate::StreamingTraceReader::open(bytes.as_slice())
-            .unwrap()
-            .map(|e| e.unwrap())
-            .collect();
+        let back = read_back(&bytes);
         assert_eq!(back.len(), 5);
         assert_eq!(back[4].cycle, 8);
         assert_eq!(back[4].class, 0);
+
+        // Through the live hook: one packet of every kind and class,
+        // injected with `Fabric::inject_classed`, reads back from PTRC as
+        // the same (cycle, src_core, dst_node, kind, class) sequence.
+        let cfg = NetworkConfig::small(Scheme::Dhs { setaside: 2 });
+        let meta = TraceMeta::new("live", cfg.cores(), cfg.nodes, 100)
+            .with_classes((0..pnoc_traffic::MAX_CLASSES as u8).collect());
+        let mut net = Network::new(cfg).unwrap();
+        net.attach_recorder(Box::new(TraceRecorder::new(
+            TraceWriter::new(Vec::new(), meta).unwrap(),
+        )));
+        let mut sent = Vec::new();
+        for kind in [PacketKind::Request, PacketKind::Reply, PacketKind::Data] {
+            for class in 0..pnoc_traffic::MAX_CLASSES as u8 {
+                let src_core = 2 * sent.len() + 1;
+                let dst_node = (src_core / cfg.cores_per_node + 3) % cfg.nodes;
+                net.inject_classed(src_core, dst_node, kind, 0, class, true);
+                sent.push(TraceEvent {
+                    cycle: net.now(),
+                    src_core,
+                    dst_node,
+                    kind,
+                    class,
+                });
+                net.step();
+            }
+        }
+        let (bytes, _) = net
+            .detach_recorder()
+            .unwrap()
+            .into_any()
+            .downcast::<TraceRecorder<Vec<u8>>>()
+            .unwrap()
+            .finish()
+            .unwrap();
+        assert_eq!(read_back(&bytes), sent);
     }
 
     #[test]
@@ -190,11 +222,11 @@ mod tests {
         .unwrap();
         let mut rec = TraceRecorder::new(writer);
         for i in 0..3u64 {
-            rec.on_inject(InjectRecord {
+            rec.on_inject(TraceEvent {
                 cycle: i,
                 src_core: 0,
                 dst_node: 1,
-                kind: InjectKind::Data,
+                kind: PacketKind::Data,
                 class: 0,
             });
         }

@@ -1,16 +1,21 @@
 //! Replay: feeding a PTRC stream back into a live network.
+//!
+//! A decoded [`TraceEvent`] already carries the simulator's own
+//! `PacketKind` and class, so turning it into an injection request is a
+//! field copy; what was recorded is what gets injected.
 
 use crate::reader::StreamingTraceReader;
 use pnoc_noc::sources::InjectionRequest;
-use pnoc_noc::{Network, NetworkConfig, PacketKind, RunSummary, TrafficSource};
+use pnoc_noc::{Network, NetworkConfig, RunSummary, TrafficSource};
 use pnoc_sim::{Cycle, RunPlan};
-use pnoc_traffic::{MessageKind, TraceEvent};
+use pnoc_traffic::TraceEvent;
 use std::io::{self, Read};
 
 /// A [`TrafficSource`] that replays a PTRC stream in bounded memory (the
 /// application-trace experiments of Fig. 10). Local (same-node) events are
-/// skipped, since local delivery bypasses the optical network; message kinds
-/// map one-to-one onto packet kinds, and the event's class rides along.
+/// skipped, since local delivery bypasses the optical network; every other
+/// event becomes one injection request carrying its kind and class as they
+/// were recorded.
 ///
 /// `generate` has no error channel, so the first read error is latched
 /// (check [`StreamSource::take_error`] after the run) and the source
@@ -82,12 +87,7 @@ impl<R: Read> TrafficSource for StreamSource<R> {
                 // Local delivery bypasses the optical network.
                 continue;
             }
-            let kind = match ev.kind {
-                MessageKind::Request => PacketKind::Request,
-                MessageKind::Reply => PacketKind::Reply,
-                MessageKind::Data => PacketKind::Data,
-            };
-            out.push((ev.src_core, ev.dst_node, kind, ev.class));
+            out.push((ev.src_core, ev.dst_node, ev.kind, ev.class));
         }
     }
 
@@ -142,6 +142,7 @@ mod tests {
     use super::*;
     use crate::format::TraceMeta;
     use crate::writer::TraceWriter;
+    use pnoc_traffic::PacketKind;
 
     fn ptrc(events: &[TraceEvent], meta: TraceMeta) -> Vec<u8> {
         let mut w = TraceWriter::with_chunk_size(Vec::new(), meta, 2).unwrap();
@@ -160,21 +161,21 @@ mod tests {
                 cycle: 3,
                 src_core: 0,
                 dst_node: 0,
-                kind: MessageKind::Request,
+                kind: PacketKind::Request,
                 class: 0,
             },
             TraceEvent {
                 cycle: 3,
                 src_core: 0,
                 dst_node: 2,
-                kind: MessageKind::Request,
+                kind: PacketKind::Request,
                 class: 0,
             },
             TraceEvent {
                 cycle: 7,
                 src_core: 5,
                 dst_node: 1,
-                kind: MessageKind::Reply,
+                kind: PacketKind::Reply,
                 class: 0,
             },
         ];
@@ -199,21 +200,21 @@ mod tests {
                 cycle: 1,
                 src_core: 1,
                 dst_node: 2,
-                kind: MessageKind::Data,
+                kind: PacketKind::Data,
                 class: 0,
             },
             TraceEvent {
                 cycle: 2,
                 src_core: 2,
                 dst_node: 3,
-                kind: MessageKind::Data,
+                kind: PacketKind::Data,
                 class: 0,
             },
             TraceEvent {
                 cycle: 3,
                 src_core: 3,
                 dst_node: 1,
-                kind: MessageKind::Data,
+                kind: PacketKind::Data,
                 class: 0,
             },
         ];

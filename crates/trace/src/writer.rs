@@ -179,14 +179,14 @@ impl<W: Write> TraceWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnoc_traffic::MessageKind;
+    use pnoc_traffic::PacketKind;
 
     fn ev(cycle: Cycle, src_core: usize, dst_node: usize) -> TraceEvent {
         TraceEvent {
             cycle,
             src_core,
             dst_node,
-            kind: MessageKind::Request,
+            kind: PacketKind::Request,
             class: 0,
         }
     }

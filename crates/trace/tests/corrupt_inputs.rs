@@ -7,10 +7,10 @@
 //! damaged region ever escape).
 
 use pnoc_trace::{frame_ranges, StreamingTraceReader, TraceMeta, TraceWriter};
-use pnoc_traffic::{MessageKind, TraceEvent, MAX_CLASSES};
+use pnoc_traffic::{PacketKind, TraceEvent, MAX_CLASSES};
 use std::io;
 
-const KINDS: [MessageKind; 3] = [MessageKind::Request, MessageKind::Reply, MessageKind::Data];
+const KINDS: [PacketKind; 3] = [PacketKind::Request, PacketKind::Reply, PacketKind::Data];
 
 /// A small but structurally complete event set: multiple chunks, all
 /// kinds, all classes, dense and sparse cycle gaps.

@@ -12,7 +12,7 @@
 
 use pnoc_trace::format::crc32;
 use pnoc_trace::{StreamingTraceReader, TraceMeta, TraceWriter};
-use pnoc_traffic::{MessageKind, TraceEvent};
+use pnoc_traffic::{PacketKind, TraceEvent};
 use std::path::PathBuf;
 
 /// Pinned CRC32 of the entire golden fixture file.
@@ -25,7 +25,7 @@ fn fixture_path() -> PathBuf {
 /// The frozen event set: every kind, every class, delta edge cases (zero
 /// gap, unit gap, a large jump), split across three chunks of four.
 fn golden_events() -> Vec<TraceEvent> {
-    let kinds = [MessageKind::Request, MessageKind::Reply, MessageKind::Data];
+    let kinds = [PacketKind::Request, PacketKind::Reply, PacketKind::Data];
     let deltas = [0u64, 0, 1, 1, 97, 0, 1, 4_294_967_295, 0, 3, 1, 250];
     let mut cycle = 0u64;
     deltas

@@ -1,15 +1,15 @@
 //! Round-trip properties of the PTRC format: whatever a [`TraceWriter`]
 //! accepts, a [`StreamingTraceReader`] returns identically — across chunk
 //! sizes, cycle-delta extremes (0 gaps, `u32::MAX`-cycle jumps), every
-//! [`MessageKind`], and every tenant class — and the writer itself is
+//! [`PacketKind`], and every tenant class — and the writer itself is
 //! byte-deterministic.
 
 use pnoc_trace::{StreamingTraceReader, TraceMeta, TraceWriter, DEFAULT_CHUNK_EVENTS};
-use pnoc_traffic::{MessageKind, TraceEvent, MAX_CLASSES};
+use pnoc_traffic::{PacketKind, TraceEvent, MAX_CLASSES};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-const KINDS: [MessageKind; 3] = [MessageKind::Request, MessageKind::Reply, MessageKind::Data];
+const KINDS: [PacketKind; 3] = [PacketKind::Request, PacketKind::Reply, PacketKind::Data];
 
 /// Raw material for one event: (cycle delta, src draw, dst draw, kind draw,
 /// class draw). Deltas mix dense traffic (0, 1), ordinary gaps, and the

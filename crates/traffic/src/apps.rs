@@ -16,7 +16,7 @@
 //! L2 bank after a fixed service latency, so reply channels see load too —
 //! as they would with real S-NUCA traffic.
 
-use crate::trace::{MessageKind, TraceEvent};
+use crate::trace::{PacketKind, TraceEvent};
 use pnoc_sim::{Cycle, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -165,7 +165,7 @@ impl AppProfile {
                     cycle: due,
                     src_core: bank_core,
                     dst_node: dst,
-                    kind: MessageKind::Reply,
+                    kind: PacketKind::Reply,
                     class: 0,
                 })?;
                 emitted += 1;
@@ -181,7 +181,7 @@ impl AppProfile {
                         cycle,
                         src_core: core,
                         dst_node: dst,
-                        kind: MessageKind::Request,
+                        kind: PacketKind::Request,
                         class: 0,
                     })?;
                     emitted += 1;
@@ -203,7 +203,7 @@ impl AppProfile {
                     cycle: due,
                     src_core: bank_core,
                     dst_node: dst,
-                    kind: MessageKind::Reply,
+                    kind: PacketKind::Reply,
                     class: 0,
                 })?;
                 emitted += 1;
@@ -409,8 +409,8 @@ mod tests {
     fn replies_follow_requests() {
         let app = paper_app("lu").unwrap();
         let t = events(&app, 16, 4, 5_000, 2);
-        let requests = t.iter().filter(|e| e.kind == MessageKind::Request).count();
-        let replies = t.iter().filter(|e| e.kind == MessageKind::Reply).count();
+        let requests = t.iter().filter(|e| e.kind == PacketKind::Request).count();
+        let replies = t.iter().filter(|e| e.kind == PacketKind::Reply).count();
         assert!(replies > 0);
         assert!(replies <= requests);
         // Nearly every request gets a reply (only end-of-trace ones don't).
@@ -439,7 +439,7 @@ mod tests {
         let mut counts = vec![0u32; 16];
         for ev in events(&app, 64, 16, 10_000, 5)
             .iter()
-            .filter(|e| e.kind == MessageKind::Request)
+            .filter(|e| e.kind == PacketKind::Request)
         {
             counts[ev.dst_node] += 1;
         }

@@ -33,4 +33,4 @@ pub use classes::{BurstCfg, ClassId, TenantMixKind, TenantSpec, MAX_CLASSES};
 pub use injection::{BernoulliInjector, OnOffInjector};
 pub use pattern::TrafficPattern;
 pub use stats::{StatsAccumulator, TraceStats};
-pub use trace::{MessageKind, TraceEvent};
+pub use trace::{PacketKind, TraceEvent};

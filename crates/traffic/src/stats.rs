@@ -1,7 +1,7 @@
 //! Workload characterization: the summary numbers evaluation sections print
 //! about their traces (rate, burstiness, destination skew).
 
-use crate::trace::{MessageKind, TraceEvent};
+use crate::trace::{PacketKind, TraceEvent};
 use pnoc_sim::Cycle;
 use serde::Serialize;
 
@@ -61,7 +61,7 @@ impl StatsAccumulator {
     /// Fold one event in. Events must respect the dimensions given to
     /// [`StatsAccumulator::new`] (`dst_node < nodes`, `cycle < length`).
     pub fn record(&mut self, ev: &TraceEvent) {
-        if ev.kind == MessageKind::Request {
+        if ev.kind == PacketKind::Request {
             self.requests += 1;
         }
         self.dest_counts[ev.dst_node] += 1;
@@ -174,7 +174,7 @@ mod tests {
             cycle: i,
             src_core: (i % 16) as usize,
             dst_node: (i % 8) as usize,
-            kind: MessageKind::Data,
+            kind: PacketKind::Data,
             class: 0,
         });
         let s = analyze(16, 8, 1600, 100, events);
@@ -194,7 +194,7 @@ mod tests {
             cycle: i,
             src_core: 0,
             dst_node: 7,
-            kind: MessageKind::Request,
+            kind: PacketKind::Request,
             class: 0,
         });
         let s = analyze(16, 8, 1000, 100, events);
@@ -246,7 +246,7 @@ mod tests {
             cycle: i,
             src_core: 0,
             dst_node: 0,
-            kind: MessageKind::Data,
+            kind: PacketKind::Data,
             class: 0,
         });
         let s = analyze(1, 1, 10, 10, events);

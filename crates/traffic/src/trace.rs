@@ -8,11 +8,13 @@
 
 use crate::classes::ClassId;
 use pnoc_sim::Cycle;
+use serde::{Deserialize, Serialize};
 
-/// The protocol role of a traced message (affects reply generation in the
-/// closed-loop CMP model; the open-loop NoC replay treats all kinds alike).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageKind {
+/// Protocol role of a message or packet, from the synthesizer through the
+/// simulator's packets to PTRC and back. The closed-loop CMP model answers
+/// a `Request` with a `Reply`; the open-loop network treats all kinds alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PacketKind {
     /// A cache-miss request travelling core → L2 bank.
     Request,
     /// A data reply travelling L2 bank → core.
@@ -21,7 +23,8 @@ pub enum MessageKind {
     Data,
 }
 
-/// One injected message.
+/// One injected message: what the synthesizer emits, what a live run's
+/// injection subscriber receives, and what a PTRC stream stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Injection cycle.
@@ -31,7 +34,7 @@ pub struct TraceEvent {
     /// Destination *node*.
     pub dst_node: usize,
     /// Protocol role.
-    pub kind: MessageKind,
+    pub kind: PacketKind,
     /// Traffic class (multi-tenant `QoS`; 0 = the default class).
     pub class: ClassId,
 }

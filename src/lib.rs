@@ -48,8 +48,7 @@ pub use pnoc_noc as noc;
 pub use pnoc_faults as faults;
 
 /// Observability: packet-lifecycle event traces, per-channel occupancy
-/// time-series, live injection subscribers, the unbounded-range latency
-/// recorder.
+/// time-series, the unbounded-range latency recorder.
 pub use pnoc_obs as obs;
 
 /// Streaming trace ingestion: the PTRC binary trace format, bounded-memory
