@@ -6,9 +6,10 @@ set -e
 cd "$(dirname "$0")"
 
 # --deep: append the pre-merge deep-fuzz job (10k differential cases unless
-# PNOC_FUZZ_CASES says otherwise) after the standard gate. The default quick
-# gate is unchanged; see EXPERIMENTS.md "Pre-merge deep fuzz" for when a PR
-# must run this.
+# PNOC_FUZZ_CASES says otherwise) after the standard gate, and add the
+# ~100 s `fairness` harness to the results gate. The default quick gate is
+# unchanged; see EXPERIMENTS.md "Pre-merge deep fuzz" for when a PR must run
+# this.
 DEEP=0
 for arg in "$@"; do
   case "$arg" in
@@ -158,7 +159,27 @@ if [ "$errors" -ne 6 ]; then
   exit 1
 fi
 grep -q '"bye":true' "$FLEET_DIR/serve.ndjson"
+# Every error line of a sweep request names the request.
+grep '"error":' "$FLEET_DIR/serve.ndjson" | grep -q '"id":"hotspot"'
 echo "serve smoke: set/sweep/errors/shutdown all answered"
+
+echo "== results gate (quick figure outputs vs results/quick) =="
+# Regenerate the --quick stdout and --json export of every figure harness
+# and compare them byte for byte with the copies checked in under
+# results/quick/. A change that moves a figure fails here; a change meant
+# to move one regenerates results/quick/ and says why (EXPERIMENTS.md
+# "Refreshing golden values"). `fairness` (~100 s) is compared under --deep
+# only.
+QUICK_DIR=target/quick-results
+rm -rf "$QUICK_DIR"
+if [ "$DEEP" -eq 1 ]; then
+  ./quick_results.sh --deep "$QUICK_DIR"
+  diff -r results/quick "$QUICK_DIR"
+else
+  ./quick_results.sh "$QUICK_DIR"
+  diff -r -x 'fairness.*' results/quick "$QUICK_DIR"
+fi
+echo "results gate: every quick figure output is byte-identical"
 
 echo "== cargo test =="
 cargo test -q --workspace --offline

@@ -11,8 +11,8 @@
 
 use pnoc_bench::figures::PAPER_SETASIDE;
 use pnoc_bench::{fleet, Fidelity, Table};
-use pnoc_noc::network::run_synthetic_point;
-use pnoc_noc::{FairnessPolicy, NetworkConfig, Scheme};
+use pnoc_noc::{FairnessPolicy, Network, NetworkConfig, Scheme};
+use pnoc_traffic::classes::TenantMixKind;
 use pnoc_traffic::pattern::TrafficPattern;
 
 fn main() {
@@ -31,7 +31,14 @@ fn main() {
             let mut cfg = NetworkConfig::paper_default(scheme);
             cfg.nodes = nodes;
             cfg.ring_segments = segments;
-            let s = run_synthetic_point(cfg, TrafficPattern::UniformRandom, 0.09, plan);
+            let s = Network::run_point(
+                cfg,
+                TenantMixKind::SingleClass,
+                TrafficPattern::UniformRandom,
+                0.09,
+                plan,
+            )
+            .summary;
             if s.saturated {
                 f64::INFINITY
             } else {
@@ -49,7 +56,14 @@ fn main() {
         let lat = fleet().map(vec![1usize, 2], move |_, &e| {
             let mut cfg = NetworkConfig::paper_default(scheme);
             cfg.ejection_per_cycle = e;
-            let s = run_synthetic_point(cfg, TrafficPattern::UniformRandom, 0.13, plan);
+            let s = Network::run_point(
+                cfg,
+                TenantMixKind::SingleClass,
+                TrafficPattern::UniformRandom,
+                0.13,
+                plan,
+            )
+            .summary;
             if s.saturated {
                 f64::INFINITY
             } else {
@@ -96,8 +110,9 @@ fn main() {
     let rows = fleet().map(policies.to_vec(), move |_, &(_, policy)| {
         let mut cfg = NetworkConfig::paper_default(Scheme::DhsCirculation);
         cfg.fairness = policy;
-        run_synthetic_point(
+        Network::run_point(
             cfg,
+            TenantMixKind::SingleClass,
             TrafficPattern::Hotspot {
                 target: 0,
                 fraction: 0.30,
@@ -105,6 +120,7 @@ fn main() {
             0.06,
             plan,
         )
+        .summary
     });
     for ((name, _), s) in policies.iter().zip(rows) {
         t.row_f64(

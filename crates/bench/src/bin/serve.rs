@@ -21,6 +21,9 @@
 //! * `{"shutdown": true}` — drain and exit (EOF does the same).
 //!
 //! Malformed lines produce an `{"error": …}` line; the service keeps going.
+//! An error in a sweep request (its spec, its `ckpt`, or the sweep itself)
+//! is reported as `{"id":"r1","error": …}`, so every line a sweep request
+//! produces carries its `id`.
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -54,9 +57,17 @@ fn emit(line: &str) {
     let _ = out.flush();
 }
 
-fn emit_error(context: &str, detail: &str) {
+/// An `{"error": …}` line; a sweep request's names its `id` (JSON) first.
+fn error_line(id_json: Option<&str>, context: &str, detail: &str) -> String {
     let msg = serde_json::to_string(&format!("{context}: {detail}")).expect("string serializes");
-    emit(&format!("{{\"error\":{msg}}}"));
+    match id_json {
+        Some(id) => format!("{{\"id\":{id},\"error\":{msg}}}"),
+        None => format!("{{\"error\":{msg}}}"),
+    }
+}
+
+fn emit_error(context: &str, detail: &str) {
+    emit(&error_line(None, context, detail));
 }
 
 /// Look up a key in a JSON object `Value`; `None` for non-objects.
@@ -120,7 +131,7 @@ fn main() {
             continue;
         }
         if field(&request, "sweep").is_some() {
-            handle_sweep(&fleet, knobs, &request);
+            emit(&sweep_reply(&fleet, knobs, &request));
             continue;
         }
         emit_error("request", "expected one of: sweep, set, shutdown");
@@ -152,39 +163,40 @@ fn merge_set(mut knobs: Knobs, settings: &Value) -> Result<Knobs, String> {
     Ok(knobs)
 }
 
-fn handle_sweep(fleet: &Fleet, knobs: Knobs, request: &Value) {
+/// Run one sweep request, streaming its cell lines, and return its last
+/// line: `done`, or the error that stopped it. Both carry the request's
+/// `id`.
+fn sweep_reply(fleet: &Fleet, knobs: Knobs, request: &Value) -> String {
     let id = match field(request, "id") {
         Some(Value::Str(s)) => s.clone(),
         _ => "anonymous".to_string(),
     };
     let id_json = serde_json::to_string(&id).expect("string serializes");
+    run_sweep_request(fleet, knobs, request, &id_json)
+        .unwrap_or_else(|(context, detail)| error_line(Some(&id_json), context, &detail))
+}
 
+/// The body of [`sweep_reply`]; an error is `(context, detail)`.
+fn run_sweep_request(
+    fleet: &Fleet,
+    knobs: Knobs,
+    request: &Value,
+    id_json: &str,
+) -> Result<String, (&'static str, String)> {
+    let sweep = field(request, "sweep").expect("caller checked").clone();
     let spec: SweepSpec =
-        match serde_json::from_value(field(request, "sweep").expect("caller checked").clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                emit_error("sweep spec", &e.to_string());
-                return;
-            }
-        };
-    if let Err(e) = spec.validate() {
-        emit_error("sweep spec", &e);
-        return;
-    }
-
+        serde_json::from_value(sweep).map_err(|e| ("sweep spec", e.to_string()))?;
+    spec.validate().map_err(|e| ("sweep spec", e))?;
     let checkpoint = match field(request, "ckpt") {
         Some(Value::Str(p)) => Some(PathBuf::from(p)),
-        Some(_) => {
-            emit_error("ckpt", "must be a string path");
-            return;
-        }
+        Some(_) => return Err(("ckpt", "must be a string path".into())),
         None => None,
     };
 
     // The result-affecting inputs are pinned in the spec; the knobs only
     // set the checkpoint cadence and the stderr echo.
     let verbose = knobs.verbose;
-    let cell_id = id_json.clone();
+    let cell_id = id_json.to_string();
     let opts = SweepOptions {
         checkpoint,
         ckpt_every: knobs.ckpt_every,
@@ -201,16 +213,14 @@ fn handle_sweep(fleet: &Fleet, knobs: Knobs, request: &Value) {
         ..SweepOptions::default()
     };
 
-    match run_sweep(fleet, &spec, opts) {
-        Ok(outcome) => emit(&format!(
-            "{{\"id\":{id_json},\"done\":true,\"complete\":{},\"total_jobs\":{},\"resumed\":{},\"executed\":{}}}",
-            outcome.report.complete,
-            outcome.report.total_jobs,
-            outcome.resumed_jobs,
-            outcome.executed_jobs
-        )),
-        Err(e) => emit_error(&format!("sweep {id}"), &e),
-    }
+    let outcome = run_sweep(fleet, &spec, opts).map_err(|e| ("sweep", e))?;
+    Ok(format!(
+        "{{\"id\":{id_json},\"done\":true,\"complete\":{},\"total_jobs\":{},\"resumed\":{},\"executed\":{}}}",
+        outcome.report.complete,
+        outcome.report.total_jobs,
+        outcome.resumed_jobs,
+        outcome.executed_jobs
+    ))
 }
 
 #[cfg(test)]
@@ -273,6 +283,38 @@ mod tests {
     fn non_object_body_is_rejected() {
         for body in [r#"{"set":5}"#, r#"{"set":[1]}"#, r#"{"set":null}"#] {
             assert!(set(body).is_err(), "{body} must be rejected");
+        }
+    }
+
+    #[test]
+    fn every_sweep_error_line_carries_the_request_id() {
+        let fleet = Fleet::new(1);
+        let sweep = |extra: &str| {
+            format!(
+                r#"{{"id":"r7","sweep":{{"base":"Small","schemes":["TokenSlot"],"patterns":[{extra}],"rates":[0.05],"replicas":1,"master_seed":7,"warmup":50,"measure":200,"drain":50}}"#
+            )
+        };
+        let dir = serde_json::to_string(&std::env::temp_dir().display().to_string()).unwrap();
+        let requests = [
+            // Not a SweepSpec.
+            r#"{"id":"r7","sweep":{"base":"Huge"}}"#.to_string(),
+            // A spec that fails validation.
+            sweep(r#"{"Hotspot":{"target":999,"fraction":0.5}}"#) + "}",
+            // A ckpt that is not a path.
+            sweep(r#""UniformRandom""#) + r#","ckpt":5}"#,
+            // A journal that cannot be opened (a directory), so run_sweep fails.
+            sweep(r#""UniformRandom""#) + &format!(r#","ckpt":{dir}}}"#),
+        ];
+        for body in requests {
+            let request: Value = serde_json::from_str(&body).expect("test JSON parses");
+            let line = sweep_reply(&fleet, Knobs::default(), &request);
+            let reply: Value = serde_json::from_str(&line).expect("reply is JSON");
+            assert!(field(&reply, "error").is_some(), "{body} -> {line}");
+            assert_eq!(
+                field(&reply, "id"),
+                Some(&Value::Str("r7".into())),
+                "{body} -> {line}"
+            );
         }
     }
 }

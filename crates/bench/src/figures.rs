@@ -4,9 +4,12 @@
 //! the integration tests assert the paper's qualitative claims on it.
 
 use pnoc_cmp::{workload::all_paper_workloads, CmpConfig, CmpSystem, IpcSummary};
+use pnoc_noc::fabric::Layer;
 use pnoc_noc::metrics::RunSummary;
-use pnoc_noc::network::{run_classed_point_detailed, run_synthetic_point};
-use pnoc_noc::{AdmissionPolicy, Network, NetworkConfig, Scheme, MAX_CLASSES};
+use pnoc_noc::{emesh::Mesh, network::Mwsr, swmr::Swmr};
+use pnoc_noc::{
+    AdmissionPolicy, Fabric, MeshConfig, Network, NetworkConfig, Scheme, SwmrConfig, MAX_CLASSES,
+};
 use pnoc_photonics::{ComponentBudget, NetworkDims};
 use pnoc_power::{ActivityProfile, PowerBreakdown, PowerReport};
 use pnoc_sim::RunPlan;
@@ -121,6 +124,22 @@ fn sweep_curves<P: Clone + Send + Sync + 'static>(
         .collect()
 }
 
+/// One single-class latency-vs-load curve per `(label, config)` of fabric
+/// `L` under `pattern`, one [`Fabric::run_point`] per rate.
+fn load_curves<L: Layer>(
+    configs: Vec<(String, L::Config)>,
+    pattern: TrafficPattern,
+    rates: &[f64],
+    plan: RunPlan,
+) -> Vec<Curve>
+where
+    L::Config: Send + Sync + 'static,
+{
+    sweep_curves(configs, rates, move |&cfg, rate| {
+        Fabric::<L>::run_point(cfg, TenantMixKind::SingleClass, pattern, rate, plan).summary
+    })
+}
+
 /// Sweep `schemes × rates` under `pattern` on the paper network, one
 /// simulation per point.
 pub fn latency_curves(
@@ -129,9 +148,11 @@ pub fn latency_curves(
     rates: &[f64],
     plan: RunPlan,
 ) -> Vec<Curve> {
-    sweep_curves(schemes.to_vec(), rates, move |&scheme, rate| {
-        run_synthetic_point(NetworkConfig::paper_default(scheme), pattern, rate, plan)
-    })
+    let configs = schemes
+        .iter()
+        .map(|(label, scheme)| (label.clone(), NetworkConfig::paper_default(*scheme)))
+        .collect();
+    load_curves::<Mwsr>(configs, pattern, rates, plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +299,7 @@ pub fn fairness_vs_load(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
         if qos {
             cfg.admission = fairness_admission();
         }
-        run_classed_point_detailed(cfg, mix, TrafficPattern::UniformRandom, rate, plan).summary
+        Network::run_point(cfg, mix, TrafficPattern::UniformRandom, rate, plan).summary
     });
     let mut curves = curves.into_iter();
     mixes
@@ -414,43 +435,90 @@ pub fn fig11_credits(fid: Fidelity) -> Vec<(String, Vec<Curve>)> {
 /// One scheme's credit study under UR: a latency-vs-load curve per credit
 /// (input buffer) count ∈ {4, 8, 16, 32}.
 fn credit_curves(scheme: Scheme, fid: Fidelity) -> Vec<Curve> {
-    let credits = [4usize, 8, 16, 32].map(|c| (format!("Credit_{c}"), c));
-    let rates = fid.rates(crate::grids::ur_rates_dense());
-    sweep_curves(credits.to_vec(), &rates, move |&c, rate| {
+    let credits = [4usize, 8, 16, 32].map(|c| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         cfg.input_buffer = c;
-        run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan())
-    })
+        (format!("Credit_{c}"), cfg)
+    });
+    let rates = fid.rates(crate::grids::ur_rates_dense());
+    load_curves::<Mwsr>(
+        credits.to_vec(),
+        TrafficPattern::UniformRandom,
+        &rates,
+        fid.plan(),
+    )
 }
 
 /// Fig. 11(f): GHS and DHS latency at UR 0.11 for setaside ∈ {1,2,4,8,16}.
 pub fn fig11_setaside(fid: Fidelity) -> Vec<(String, Vec<(usize, f64)>)> {
     let sizes = [1usize, 2, 4, 8, 16];
-    let rate = 0.11;
-    let mut out = Vec::new();
-    for (label, make) in [
-        (
-            "GHS",
-            Box::new(|s: usize| Scheme::Ghs { setaside: s })
-                as Box<dyn Fn(usize) -> Scheme + Send + Sync>,
-        ),
-        ("DHS", Box::new(|s: usize| Scheme::Dhs { setaside: s })),
-    ] {
-        let points = fleet().map(sizes.to_vec(), move |_, &s| {
-            let cfg = NetworkConfig::paper_default(make(s));
-            let summary = run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, fid.plan());
-            if summary.saturated {
-                f64::INFINITY
-            } else {
-                summary.avg_latency
-            }
-        });
-        out.push((
-            label.to_string(),
-            sizes.iter().copied().zip(points).collect(),
-        ));
-    }
-    out
+    let xs = sizes.map(|s| s as f64);
+    // A scheme family: the scheme at a given setaside size.
+    type Family = fn(usize) -> Scheme;
+    let families: Vec<(String, Family)> = vec![
+        ("GHS".into(), |s| Scheme::Ghs { setaside: s }),
+        ("DHS".into(), |s| Scheme::Dhs { setaside: s }),
+    ];
+    let plan = fid.plan();
+    sweep_curves(families, &xs, move |make, size| {
+        let cfg = NetworkConfig::paper_default(make(size as usize));
+        Network::run_point(
+            cfg,
+            TenantMixKind::SingleClass,
+            TrafficPattern::UniformRandom,
+            0.11,
+            plan,
+        )
+        .summary
+    })
+    .into_iter()
+    .map(|c| {
+        let latencies = c.latencies();
+        (c.label, sizes.into_iter().zip(latencies).collect())
+    })
+    .collect()
+}
+
+// ---------------------------------------------------------------------------
+// §II-B and §II-C: the SWMR fabric and the electrical mesh.
+// ---------------------------------------------------------------------------
+
+/// §II-B: handshake vs partitioned credits on the SWMR fabric, UR, one
+/// curve per flow-control variant and receiver buffer size.
+pub fn swmr(fid: Fidelity) -> Vec<Curve> {
+    let rates = [0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13, 0.15];
+    let small_handshake = SwmrConfig {
+        input_buffer: 4,
+        ..SwmrConfig::paper_handshake(8)
+    };
+    let variants = vec![
+        ("credit (B=63)".into(), SwmrConfig::paper_credit()),
+        ("handshake (B=8)".into(), SwmrConfig::paper_handshake(0)),
+        ("handshake+SA8 (B=8)".into(), SwmrConfig::paper_handshake(8)),
+        ("handshake+SA8 (B=4)".into(), small_handshake),
+    ];
+    load_curves::<Swmr>(variants, TrafficPattern::UniformRandom, &rates, fid.plan())
+}
+
+/// §II-C: the electrical 8×8 mesh (2- and 8-flit port buffers) against the
+/// 64-node photonic ring (token slot and DHS w/ setaside), UR.
+pub fn mesh_vs_ring(fid: Fidelity) -> Vec<Curve> {
+    let rates = [0.01, 0.02, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13];
+    let (ur, plan) = (TrafficPattern::UniformRandom, fid.plan());
+    let meshes = [2usize, 8].map(|buffer| {
+        let cfg = MeshConfig {
+            input_buffer: buffer,
+            ..MeshConfig::paper_comparable()
+        };
+        (format!("mesh 8x8 (B={buffer}/port)"), cfg)
+    });
+    let rings = [Scheme::TokenSlot, Scheme::Dhs { setaside: 8 }].map(|scheme| {
+        let cfg = NetworkConfig::paper_default(scheme);
+        (format!("ring 64n ({})", scheme.label()), cfg)
+    });
+    let mut curves = load_curves::<Mesh>(meshes.to_vec(), ur, &rates, plan);
+    curves.extend(load_curves::<Mwsr>(rings.to_vec(), ur, &rates, plan));
+    curves
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +610,14 @@ pub fn resilience_curves(
         fault_rates,
         move |&scheme, fault_rate| {
             let cfg = base(scheme).with_faults(pnoc_noc::FaultConfig::uniform(fault_rate));
-            run_synthetic_point(cfg, TrafficPattern::UniformRandom, load, plan)
+            Network::run_point(
+                cfg,
+                TenantMixKind::SingleClass,
+                TrafficPattern::UniformRandom,
+                load,
+                plan,
+            )
+            .summary
         },
     )
 }

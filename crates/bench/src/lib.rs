@@ -16,7 +16,6 @@
 //! | `swmr`      | §II-B     | handshake vs partitioned credits on an SWMR fabric |
 //! | `mesh_vs_ring` | §II-C  | electrical 2D-mesh baseline vs the photonic ring |
 //! | `resilience` | DESIGN.md §7 | fault-rate sweep: handshake recovery vs credit-leak collapse |
-//! | `calibrate` | (dev)     | quick sweep for model sanity-checking |
 //!
 //! Every binary accepts `--quick` for a reduced-fidelity pass (shorter
 //! windows, sparser grids) used by CI-style smoke checks; the default is the

@@ -17,9 +17,9 @@
 //! faster pass is kept (best-of-N absorbs scheduler noise; the simulator
 //! itself is deterministic, so both passes do identical work).
 
-use pnoc_noc::network::run_synthetic_point;
-use pnoc_noc::{NetworkConfig, Scheme};
+use pnoc_noc::{Network, NetworkConfig, Scheme};
 use pnoc_sim::RunPlan;
+use pnoc_traffic::classes::TenantMixKind;
 use pnoc_traffic::pattern::TrafficPattern;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -86,8 +86,15 @@ fn sweep_once(scheme: Scheme, quick: bool) -> (u64, u64) {
     let mut delivered = 0u64;
     for &rate in &RATES {
         let cfg = NetworkConfig::paper_default(scheme);
-        let s = run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, p);
-        // run_synthetic_point executes plan.total() cycles plus a bounded
+        let s = Network::run_point(
+            cfg,
+            TenantMixKind::SingleClass,
+            TrafficPattern::UniformRandom,
+            rate,
+            p,
+        )
+        .summary;
+        // run_point executes plan.total() cycles plus a bounded
         // drain grace; count the planned horizon (the grace is small and
         // identical across replays of the same build).
         cycles += p.total();

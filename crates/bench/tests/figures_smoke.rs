@@ -160,3 +160,36 @@ fn resilience_handshake_survives_credit_schemes_collapse() {
         );
     }
 }
+
+/// §II-B on the SWMR fabric: handshake with a setaside and only 4 receiver
+/// slots sustains every load partitioned credits with 63 slots sustain, and
+/// is faster at the top of the grid, where the credit loop's HOL blocking
+/// bites.
+#[test]
+fn swmr_handshake_beats_partitioned_credit_with_fewer_buffers() {
+    let curves = figures::swmr(Fidelity::Quick);
+    let curve = |label: &str| {
+        curves
+            .iter()
+            .find(|c| c.label == label)
+            .unwrap_or_else(|| panic!("{label} curve"))
+    };
+    let credit = curve("credit (B=63)");
+    let handshake = curve("handshake+SA8 (B=4)");
+    assert!(
+        handshake.saturation_rate() >= credit.saturation_rate(),
+        "handshake sustains {} < credit {}",
+        handshake.saturation_rate(),
+        credit.saturation_rate()
+    );
+    let at = |c: &figures::Curve, rate: f64| {
+        let i = c
+            .points
+            .iter()
+            .position(|&(r, _)| r == rate)
+            .expect("grid point");
+        c.latencies()[i]
+    };
+    let (hs, cr) = (at(handshake, 0.15), at(credit, 0.15));
+    assert!(hs < cr, "latency at 0.15: handshake {hs} vs credit {cr}");
+}

@@ -11,7 +11,7 @@
 //! can be re-run bit-identically on any machine.
 
 use pnoc_noc::config::{AdmissionPolicy, NetworkConfig, Scheme};
-use pnoc_noc::network::{run_classed_point_detailed, PointDetail};
+use pnoc_noc::{Network, PointDetail};
 use pnoc_sim::rng::{stream_seed, FLEET_STREAM};
 use pnoc_sim::{RunPlan, SimRng};
 use pnoc_traffic::classes::TenantMixKind;
@@ -221,7 +221,7 @@ impl SweepSpec {
         let mut cfg = self.base_config(scheme);
         cfg.seed = self.job_seed(index);
         cfg.admission = self.admission;
-        run_classed_point_detailed(cfg, mix, pattern, rate, self.plan())
+        Network::run_point(cfg, mix, pattern, rate, self.plan())
     }
 }
 

@@ -185,6 +185,7 @@ impl Sealed for Mesh {}
 
 impl Layer for Mesh {
     type Config = MeshConfig;
+    const TRAFFIC_SEED_XOR: u64 = 0xACE;
 
     fn build(cfg: MeshConfig) -> Result<Self, String> {
         cfg.validate()?;
@@ -206,6 +207,10 @@ impl Layer for Mesh {
 
     fn config(&self) -> &MeshConfig {
         &self.cfg
+    }
+
+    fn seed(&self) -> u64 {
+        self.cfg.seed
     }
 
     fn nodes(&self) -> usize {
@@ -344,6 +349,7 @@ mod tests {
     use crate::packet::PacketKind;
     use crate::sources::SyntheticSource;
     use pnoc_sim::RunPlan;
+    use pnoc_traffic::classes::TenantMixKind;
     use pnoc_traffic::pattern::TrafficPattern;
 
     fn cfg() -> MeshConfig {
@@ -471,24 +477,12 @@ mod tests {
         // at 64 nodes, near zero load.
         let mut mc = MeshConfig::paper_comparable();
         mc.seed = 7;
-        let mut mesh = MeshNetwork::new(mc).unwrap();
-        let mut src = SyntheticSource::new(
-            TrafficPattern::UniformRandom,
-            0.01,
-            mc.nodes(),
-            mc.cores_per_node,
-            7,
-        );
-        let mesh_summary = mesh.run_open_loop(&mut src, RunPlan::new(1_000, 4_000, 1_000));
-
+        let plan = RunPlan::new(1_000, 4_000, 1_000);
+        let (mix, ur) = (TenantMixKind::SingleClass, TrafficPattern::UniformRandom);
+        let mesh_summary = MeshNetwork::run_point(mc, mix, ur, 0.01, plan).summary;
         let rc =
             crate::config::NetworkConfig::paper_default(crate::config::Scheme::Dhs { setaside: 8 });
-        let ring_summary = crate::network::run_synthetic_point(
-            rc,
-            TrafficPattern::UniformRandom,
-            0.01,
-            RunPlan::new(1_000, 4_000, 1_000),
-        );
+        let ring_summary = crate::Network::run_point(rc, mix, ur, 0.01, plan).summary;
         assert!(
             mesh_summary.avg_latency > 1.5 * ring_summary.avg_latency,
             "optical one-hop should be clearly faster at zero load ({} vs {})",

@@ -11,13 +11,20 @@
 //! injection calendar; each [`Fabric::step`] hands that calendar to the
 //! layer, which drains it into its own queues at the point of its cycle it
 //! chooses and appends what it ejects to the deliveries.
+//!
+//! One synthetic latency-vs-load point, on any fabric, is
+//! [`Fabric::run_point`]: build the fabric, drive it with a
+//! [`ClassedSource`] seeded `seed ^ L::TRAFFIC_SEED_XOR`, and return the
+//! summary with its latency distribution.
 
 use crate::calendar::Calendar;
 use crate::channel::Delivery;
 use crate::metrics::{NetworkMetrics, RunSummary};
 use crate::packet::{Packet, PacketKind};
-use crate::sources::{InjectionRequest, TrafficSource};
+use crate::sources::{ClassedSource, InjectionRequest, TrafficSource};
 use pnoc_sim::{Clock, Cycle, RunPlan};
+use pnoc_traffic::classes::TenantMixKind;
+use pnoc_traffic::pattern::TrafficPattern;
 use pnoc_traffic::TraceEvent;
 
 pub(crate) mod sealed {
@@ -33,11 +40,18 @@ pub trait Layer: sealed::Sealed + Sized {
     /// The fabric's configuration.
     type Config: Copy;
 
+    /// Stream-XOR from the configuration's seed to the seed of the
+    /// synthetic source [`Fabric::run_point`] drives the fabric with.
+    const TRAFFIC_SEED_XOR: u64;
+
     /// Validate `cfg` and build the layer's initial (empty) state.
     fn build(cfg: Self::Config) -> Result<Self, String>;
 
     /// The configuration the layer was built with.
     fn config(&self) -> &Self::Config;
+
+    /// The configuration's RNG seed.
+    fn seed(&self) -> u64;
 
     /// Node count.
     fn nodes(&self) -> usize;
@@ -91,6 +105,19 @@ pub trait InjectSubscriber: std::fmt::Debug {
     /// Recover the concrete subscriber after detaching it from the network
     /// (e.g. to finish and close an underlying writer).
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
+}
+
+/// A synthetic point's summary plus the full latency distribution behind it.
+///
+/// The fleet aggregation layer merges the recorders of every replica in a
+/// sweep cell before taking tail quantiles, so the cell's p99 is computed
+/// over the pooled distribution rather than averaged across replicas.
+#[derive(Debug, Clone)]
+pub struct PointDetail {
+    /// The run's scalar summary.
+    pub summary: RunSummary,
+    /// The full measured-latency recorder for the run.
+    pub latency: pnoc_obs::LatencyRecorder,
 }
 
 /// A fabric: the shared injection pipeline and run driver around one
@@ -269,6 +296,35 @@ impl<L: Layer> Fabric<L> {
         self.layer.service_counts()
     }
 
+    /// One point of a latency-vs-load figure: build a fabric from `cfg` and
+    /// run `plan` on it under `mix` at `rate` packets/cycle/core total, with
+    /// `pattern` as the majority destination pattern. The source is seeded
+    /// `seed ^ L::TRAFFIC_SEED_XOR`;
+    /// [`TenantMixKind::SingleClass`] is the plain [`crate::SyntheticSource`]
+    /// at that seed, bit for bit. Panics on an invalid configuration.
+    pub fn run_point(
+        cfg: L::Config,
+        mix: TenantMixKind,
+        pattern: TrafficPattern,
+        rate: f64,
+        plan: RunPlan,
+    ) -> PointDetail {
+        let mut net = Self::new(cfg).expect("invalid config");
+        let mut src = ClassedSource::new(
+            mix,
+            rate,
+            pattern,
+            net.layer.nodes(),
+            net.layer.cores_per_node(),
+            net.layer.seed() ^ L::TRAFFIC_SEED_XOR,
+        );
+        let summary = net.run_open_loop(&mut src, plan);
+        PointDetail {
+            summary,
+            latency: net.metrics.latency_rec,
+        }
+    }
+
     /// Run the standard open-loop experiment: warmup, measure, drain, then
     /// summarize (one point on a latency-vs-load figure).
     pub fn run_open_loop(&mut self, source: &mut dyn TrafficSource, plan: RunPlan) -> RunSummary {
@@ -332,6 +388,7 @@ mod tests {
     use crate::config::{NetworkConfig, Scheme};
     use crate::emesh::Mesh;
     use crate::network::Mwsr;
+    use crate::sources::SyntheticSource;
     use crate::swmr::{Swmr, SwmrConfig};
     use crate::MeshConfig;
 
@@ -361,5 +418,45 @@ mod tests {
         rejects_bad_injections::<Mwsr>(NetworkConfig::small(Scheme::TokenSlot));
         rejects_bad_injections::<Swmr>(SwmrConfig::paper_credit());
         rejects_bad_injections::<Mesh>(MeshConfig::paper_comparable());
+    }
+
+    /// [`Fabric::run_point`] with a single-class mix is the hand-driven
+    /// [`SyntheticSource`] run it replaced: same summary bytes, same
+    /// latency distribution, with the source seeded `source_seed`.
+    fn run_point_is_the_plain_synthetic_run<L: Layer>(cfg: L::Config, source_seed: u64) {
+        let (pattern, rate) = (TrafficPattern::UniformRandom, 0.06);
+        let plan = RunPlan::new(200, 1_000, 300);
+        let point = Fabric::<L>::run_point(cfg, TenantMixKind::SingleClass, pattern, rate, plan);
+        let mut net = Fabric::<L>::new(cfg).unwrap();
+        let (nodes, cores_per_node) = (net.layer.nodes(), net.layer.cores_per_node());
+        let mut src = SyntheticSource::new(pattern, rate, nodes, cores_per_node, source_seed);
+        let summary = net.run_open_loop(&mut src, plan);
+        assert!(summary.delivered > 0);
+        assert_eq!(
+            serde_json::to_string(&point.summary).unwrap(),
+            serde_json::to_string(&summary).unwrap()
+        );
+        assert_eq!(point.latency, net.metrics().latency_rec);
+    }
+
+    #[test]
+    fn run_point_matches_the_synthetic_runner_on_every_fabric() {
+        let ring = NetworkConfig::small(Scheme::Dhs { setaside: 2 });
+        run_point_is_the_plain_synthetic_run::<Mwsr>(ring, ring.seed ^ 0x5EED_0001);
+        let swmr = SwmrConfig {
+            nodes: 16,
+            cores_per_node: 2,
+            ring_segments: 4,
+            input_buffer: 4,
+            seed: 5,
+            ..SwmrConfig::paper_handshake(2)
+        };
+        run_point_is_the_plain_synthetic_run::<Swmr>(swmr, 5 ^ 0x51_EE7);
+        let mesh = MeshConfig {
+            side: 4,
+            seed: 3,
+            ..MeshConfig::paper_comparable()
+        };
+        run_point_is_the_plain_synthetic_run::<Mesh>(mesh, 3 ^ 0xACE);
     }
 }

@@ -73,7 +73,7 @@ pub mod topology;
 
 pub use config::{AdmissionPolicy, FairnessPolicy, NetworkConfig, Scheme};
 pub use emesh::{MeshConfig, MeshNetwork};
-pub use fabric::{Fabric, InjectSubscriber};
+pub use fabric::{Fabric, InjectSubscriber, PointDetail};
 pub use fsm::{ChannelModel, CycleEvents, CycleFsm};
 pub use metrics::{NetworkMetrics, RunSummary};
 pub use network::Network;

@@ -12,13 +12,13 @@ use crate::calendar::Calendar;
 use crate::channel::{Channel, Delivery};
 use crate::config::NetworkConfig;
 use crate::fabric::{sealed::Sealed, Fabric, Layer};
-use crate::metrics::{NetworkMetrics, RunSummary};
+use crate::metrics::NetworkMetrics;
 use crate::packet::Packet;
 use crate::schemes::{
     CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow, SlotFlow,
 };
 use crate::sources::TRAFFIC_SEED_XOR;
-use pnoc_sim::{Cycle, RunPlan};
+use pnoc_sim::Cycle;
 
 /// Monomorphized channel storage: one variant per scheme family, each
 /// holding fully concrete `Channel<A, F>` values. The variant is chosen
@@ -120,6 +120,7 @@ impl Sealed for Mwsr {}
 
 impl Layer for Mwsr {
     type Config = NetworkConfig;
+    const TRAFFIC_SEED_XOR: u64 = TRAFFIC_SEED_XOR;
 
     fn build(cfg: NetworkConfig) -> Result<Self, String> {
         cfg.validate()?;
@@ -133,6 +134,10 @@ impl Layer for Mwsr {
 
     fn config(&self) -> &NetworkConfig {
         &self.cfg
+    }
+
+    fn seed(&self) -> u64 {
+        self.cfg.seed
     }
 
     fn nodes(&self) -> usize {
@@ -331,75 +336,17 @@ impl Network {
     }
 }
 
-/// Convenience: build a fresh network and run one synthetic point.
-pub fn run_synthetic_point(
-    cfg: NetworkConfig,
-    pattern: pnoc_traffic::pattern::TrafficPattern,
-    rate: f64,
-    plan: RunPlan,
-) -> RunSummary {
-    let mut net = Network::new(cfg).expect("invalid config");
-    let mut src = crate::sources::SyntheticSource::new(
-        pattern,
-        rate,
-        cfg.nodes,
-        cfg.cores_per_node,
-        cfg.seed ^ TRAFFIC_SEED_XOR,
-    );
-    net.run_open_loop(&mut src, plan)
-}
-
-/// A synthetic point's summary plus the full latency distribution behind it.
-///
-/// The fleet aggregation layer merges the recorders of every replica in a
-/// sweep cell before taking tail quantiles, so the cell's p99 is computed
-/// over the pooled distribution rather than averaged across replicas.
-#[derive(Debug, Clone)]
-pub struct PointDetail {
-    /// The scalar summary, identical to what [`run_synthetic_point`] returns.
-    pub summary: RunSummary,
-    /// The full measured-latency recorder for the run.
-    pub latency: pnoc_obs::LatencyRecorder,
-}
-
-/// [`run_synthetic_point`] with a multi-tenant source, also returning the
-/// latency recorder: the mix's tenants split the offered rate and tag
-/// packets with their traffic classes.
-/// [`pnoc_traffic::classes::TenantMixKind::SingleClass`] reproduces the
-/// plain synthetic run bit-for-bit (same seed derivation, same injection
-/// stream).
-pub fn run_classed_point_detailed(
-    cfg: NetworkConfig,
-    mix: pnoc_traffic::classes::TenantMixKind,
-    pattern: pnoc_traffic::pattern::TrafficPattern,
-    rate: f64,
-    plan: RunPlan,
-) -> PointDetail {
-    let mut net = Network::new(cfg).expect("invalid config");
-    let mut src = crate::sources::ClassedSource::new(
-        mix,
-        rate,
-        pattern,
-        cfg.nodes,
-        cfg.cores_per_node,
-        cfg.seed ^ TRAFFIC_SEED_XOR,
-    );
-    let summary = net.run_open_loop(&mut src, plan);
-    PointDetail {
-        summary,
-        latency: net.metrics().latency_rec.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Scheme;
+    use crate::metrics::RunSummary;
     use crate::packet::PacketKind;
     use crate::sources::SyntheticSource;
+    use pnoc_sim::RunPlan;
     use pnoc_traffic::pattern::TrafficPattern;
 
-    /// [`run_synthetic_point`] on an audited network: the invariant
+    /// One synthetic point on an audited network: the invariant
     /// auditor checks every cycle of every run in this suite.
     fn audited_point(cfg: NetworkConfig, rate: f64) -> (RunSummary, Network) {
         let mut net = Network::new(cfg).expect("invalid config");

@@ -7,8 +7,9 @@ use pnoc_traffic::injection::BernoulliInjector;
 use pnoc_traffic::pattern::TrafficPattern;
 use pnoc_traffic::ClassId;
 
-/// Stream-XOR from a network's `seed` to its traffic source's seed, shared
-/// by every driver so a run, its recorded trace and its replay agree.
+/// Stream-XOR from an MWSR network's `seed` to its traffic source's seed
+/// (the MWSR layer's [`crate::fabric::Layer::TRAFFIC_SEED_XOR`]), shared by
+/// every driver so a run, its recorded trace and its replay agree.
 pub const TRAFFIC_SEED_XOR: u64 = 0x5EED_0001;
 
 /// A request to inject one packet:
@@ -123,7 +124,6 @@ impl TrafficSource for SyntheticSource {
 #[derive(Debug, Clone)]
 pub struct ClassedSource {
     tenants: Vec<(TenantSpec, SyntheticSource)>,
-    scratch: Vec<InjectionRequest>,
 }
 
 impl ClassedSource {
@@ -155,10 +155,7 @@ impl ClassedSource {
                 (spec, src)
             })
             .collect();
-        Self {
-            tenants,
-            scratch: Vec::new(),
-        }
+        Self { tenants }
     }
 
     /// The tenant specs driving this source, in class order.
@@ -174,16 +171,15 @@ impl TrafficSource for ClassedSource {
             // stream advance in lockstep with the clock; off-window fires
             // are discarded, not deferred (deferring would dump the whole
             // off window's load into the first active cycle).
-            self.scratch.clear();
-            src.generate(now, &mut self.scratch);
+            let start = out.len();
+            src.generate(now, out);
             if spec.burst.is_some_and(|b| !b.active(now)) {
+                out.truncate(start);
                 continue;
             }
-            out.extend(
-                self.scratch
-                    .iter()
-                    .map(|&(core, dst, kind, _)| (core, dst, kind, spec.class)),
-            );
+            for request in &mut out[start..] {
+                request.3 = spec.class;
+            }
         }
     }
 }

@@ -189,6 +189,7 @@ impl Sealed for Swmr {}
 
 impl Layer for Swmr {
     type Config = SwmrConfig;
+    const TRAFFIC_SEED_XOR: u64 = 0x51_EE7;
 
     fn build(cfg: SwmrConfig) -> Result<Self, String> {
         cfg.validate()?;
@@ -230,6 +231,10 @@ impl Layer for Swmr {
 
     fn config(&self) -> &SwmrConfig {
         &self.cfg
+    }
+
+    fn seed(&self) -> u64 {
+        self.cfg.seed
     }
 
     fn nodes(&self) -> usize {

@@ -50,7 +50,7 @@ fn main() {
     ] {
         let mut cfg = NetworkConfig::paper_default(Scheme::DhsCirculation);
         cfg.fairness = policy;
-        let s = run_synthetic_point(cfg, pattern, rate, plan);
+        let s = Network::run_point(cfg, TenantMixKind::SingleClass, pattern, rate, plan).summary;
         println!(
             "{:<14} {:>11.3} {:>9.3} {:>12.1} {:>12.4} {:>8.0}",
             name,

@@ -38,7 +38,7 @@ fn main() {
         .collect();
     let results = Fleet::with_default_threads().map(jobs, move |_, &(scheme, rate)| {
         let cfg = NetworkConfig::paper_default(scheme);
-        run_synthetic_point(cfg, pattern, rate, plan)
+        Network::run_point(cfg, TenantMixKind::SingleClass, pattern, rate, plan).summary
     });
 
     for (si, scheme) in schemes.iter().enumerate() {

@@ -14,15 +14,18 @@
 //! ```
 //! use nanophotonic_handshake::prelude::*;
 //!
-//! // One point of a latency-vs-load experiment, paper configuration:
+//! // One point of a latency-vs-load experiment, paper configuration, one
+//! // traffic class. The same call runs a point on `SwmrNetwork` and
+//! // `MeshNetwork`.
 //! let cfg = NetworkConfig::paper_default(Scheme::Dhs { setaside: 8 });
-//! let summary = run_synthetic_point(
+//! let point = Network::run_point(
 //!     cfg,
+//!     TenantMixKind::SingleClass,
 //!     TrafficPattern::UniformRandom,
 //!     0.05,
 //!     RunPlan::quick(),
 //! );
-//! assert!(!summary.saturated);
+//! assert!(!point.summary.saturated);
 //! ```
 //!
 //! See the workspace `README.md` for the architecture overview and
@@ -65,14 +68,14 @@ pub use pnoc_cmp as cmp;
 pub mod prelude {
     pub use crate::cmp::{CmpConfig, CmpSystem, CmpWorkload};
     pub use crate::faults::{FaultConfig, RecoveryConfig, RingFaultModel};
-    pub use crate::noc::network::run_synthetic_point;
     pub use crate::noc::{
-        FairnessPolicy, Network, NetworkConfig, Packet, PacketKind, Scheme, SyntheticSource,
-        TrafficSource,
+        FairnessPolicy, Network, NetworkConfig, Packet, PacketKind, PointDetail, Scheme,
+        SyntheticSource, TrafficSource,
     };
     pub use crate::photonics::{ComponentBudget, NetworkDims};
     pub use crate::power::{ActivityProfile, PowerReport};
     pub use crate::sim::{RunPlan, SimRng};
+    pub use crate::traffic::classes::TenantMixKind;
     pub use crate::traffic::pattern::TrafficPattern;
     pub use crate::traffic::{all_paper_apps, AppProfile};
 }

@@ -17,12 +17,14 @@ fn point(scheme: Scheme, faulty: bool) -> RunSummary {
     if faulty {
         cfg = cfg.with_faults(FaultConfig::uniform(1e-3));
     }
-    run_synthetic_point(
+    Network::run_point(
         cfg,
+        TenantMixKind::SingleClass,
         TrafficPattern::UniformRandom,
         0.04,
         RunPlan::new(300, 1_200, 400),
     )
+    .summary
 }
 
 fn bytes(s: &RunSummary) -> String {

@@ -7,12 +7,14 @@ use nanophotonic_handshake::prelude::*;
 
 fn point(scheme: Scheme, rate: f64) -> nanophotonic_handshake::noc::metrics::RunSummary {
     let cfg = NetworkConfig::paper_default(scheme);
-    run_synthetic_point(
+    Network::run_point(
         cfg,
+        TenantMixKind::SingleClass,
         TrafficPattern::UniformRandom,
         rate,
         RunPlan::new(2_000, 8_000, 1_000),
     )
+    .summary
 }
 
 #[test]

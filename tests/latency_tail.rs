@@ -14,12 +14,14 @@ fn saturated_point() -> nanophotonic_handshake::noc::metrics::RunSummary {
     // DHS's UR saturation throughput so queues grow for the whole
     // measurement window and the latency tail crosses 2048 cycles.
     let cfg = NetworkConfig::paper_default(Scheme::Dhs { setaside: 8 });
-    run_synthetic_point(
+    Network::run_point(
         cfg,
+        TenantMixKind::SingleClass,
         TrafficPattern::UniformRandom,
         0.5,
         RunPlan::new(500, 4_000, 500),
     )
+    .summary
 }
 
 #[test]
@@ -56,12 +58,14 @@ fn healthy_run_is_unaffected_by_the_recorder_swap() {
     // Far below saturation nothing crosses the linear region, where the
     // recorder is bin-for-bin identical to the old histogram.
     let cfg = NetworkConfig::paper_default(Scheme::Dhs { setaside: 8 });
-    let s = run_synthetic_point(
+    let s = Network::run_point(
         cfg,
+        TenantMixKind::SingleClass,
         TrafficPattern::UniformRandom,
         0.05,
         RunPlan::new(500, 2_000, 500),
-    );
+    )
+    .summary;
     assert!(!s.saturated, "{s:?}");
     assert!(s.p99_latency.is_finite() && s.p99_latency < 2048.0, "{s:?}");
 }

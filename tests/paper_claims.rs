@@ -10,7 +10,7 @@ fn plan() -> RunPlan {
 
 fn point(scheme: Scheme, pattern: TrafficPattern, rate: f64) -> noc::metrics::RunSummary {
     let cfg = NetworkConfig::paper_default(scheme);
-    run_synthetic_point(cfg, pattern, rate, plan())
+    Network::run_point(cfg, TenantMixKind::SingleClass, pattern, rate, plan()).summary
 }
 
 use nanophotonic_handshake::noc;
@@ -119,7 +119,14 @@ fn handshake_is_credit_independent_token_slot_is_not() {
     let run_with_credits = |scheme: Scheme, credits: usize| {
         let mut cfg = NetworkConfig::paper_default(scheme);
         cfg.input_buffer = credits;
-        run_synthetic_point(cfg, TrafficPattern::UniformRandom, rate, plan())
+        Network::run_point(
+            cfg,
+            TenantMixKind::SingleClass,
+            TrafficPattern::UniformRandom,
+            rate,
+            plan(),
+        )
+        .summary
     };
     // Token slot: 4 credits saturate at 0.11; 32 credits do not.
     let ts4 = run_with_credits(Scheme::TokenSlot, 4);

@@ -10,12 +10,14 @@ use nanophotonic_handshake::prelude::*;
 fn end_to_end_determinism() {
     let run = || {
         let cfg = NetworkConfig::paper_default(Scheme::Dhs { setaside: 8 });
-        run_synthetic_point(
+        Network::run_point(
             cfg,
+            TenantMixKind::SingleClass,
             TrafficPattern::UniformRandom,
             0.09,
             RunPlan::new(1_000, 4_000, 1_000),
         )
+        .summary
     };
     let a = run();
     let b = run();
@@ -167,7 +169,7 @@ fn sit_out_improves_worst_channel_fairness() {
     let run = |fairness| {
         let mut cfg = NetworkConfig::paper_default(Scheme::DhsCirculation);
         cfg.fairness = fairness;
-        run_synthetic_point(cfg, pattern, 0.06, plan)
+        Network::run_point(cfg, TenantMixKind::SingleClass, pattern, 0.06, plan).summary
     };
     let none = run(FairnessPolicy::None);
     let fair = run(FairnessPolicy::SitOut {
