@@ -142,6 +142,10 @@ pub struct Channel<A, F> {
     recovery: RecoveryConfig,
     /// Checker self-test switch ([`Channel::disable_duplicate_suppression`]).
     dup_suppression_disabled: bool,
+    /// The cycle after the last one this channel stepped. A later `now`
+    /// means the cycles in between were skipped while the channel slept
+    /// quiescent; [`Channel::catch_up`] applies them in closed form.
+    next_cycle: Cycle,
 }
 
 impl<A: Arbiter, F: Flow> Channel<A, F> {
@@ -212,6 +216,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             injector,
             recovery: cfg.recovery,
             dup_suppression_disabled: false,
+            next_cycle: 0,
         }
     }
 
@@ -286,10 +291,82 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         self.dup_suppression_disabled = true;
     }
 
+    /// Whether the channel's next cycles are idle until a packet arrives,
+    /// so the network may stop stepping it: no fault injector (it draws
+    /// the RNG every cycle); empty sender queues, ring, input buffer and
+    /// ejection pipeline; no handshake or ACK timer pending; no grant,
+    /// backlog or unresolved copy; no suppressed emission; a sweeping
+    /// global token; full admission buckets. Its idle cycles then have the
+    /// closed form [`Channel::catch_up`] applies.
+    #[inline]
+    pub(crate) fn is_quiescent(&self) -> bool {
+        // A live payload is a queued, set-aside, pending or (forget mode)
+        // in-flight packet: the one load that rules out most busy channels.
+        self.arena.live() == 0
+            && self.input_queue.is_empty()
+            && self.draining == 0
+            && self.queued_total == 0
+            && self.data.is_empty()
+            && self.releases.is_empty()
+            && self.injector.is_none()
+            && !self.planes.granted.any()
+            && !self.planes.backlogged.any()
+            && !self.planes.unresolved.any()
+            && !self.suppress_token
+            && self.arbiter.can_sleep()
+            && self
+                .flow
+                .handshake()
+                .is_none_or(|h| h.acks.is_empty() && h.ack_timers.is_empty())
+            && self.admission.as_ref().is_none_or(AdmissionCtl::is_full)
+    }
+
+    /// Apply the idle cycles this channel skipped before `now` while it
+    /// was quiescent, leaving the state `now - next_cycle` idle
+    /// [`Channel::step`] calls would: the ring rotates, the calendar
+    /// frontiers move to `now - 1`, and the arbiter fast-forwards. A no-op
+    /// when nothing was skipped.
+    #[inline(never)]
+    pub(crate) fn catch_up(&mut self, now: Cycle) {
+        if now <= self.next_cycle {
+            return;
+        }
+        debug_assert!(
+            self.is_quiescent(),
+            "channel {} skipped while busy",
+            self.home
+        );
+        let k = now - self.next_cycle;
+        self.data.rotate(k);
+        self.releases.fast_forward(now - 1);
+        if let Some(h) = self.flow.handshake_mut() {
+            h.acks.fast_forward(now - 1);
+        }
+        self.arbiter.fast_forward(
+            k,
+            &mut self.flow,
+            self.topo.nodes,
+            self.sweep_step,
+            self.buffer_cap,
+        );
+        self.next_cycle = now;
+    }
+
     /// Advance the channel one cycle: the six phases in the fixed order of
     /// the module docs, appending this cycle's deliveries to `deliveries`.
+    /// Cycles skipped since the last step (the channel slept quiescent)
+    /// are applied first, in closed form.
     #[inline]
     pub fn step(&mut self, now: Cycle, m: &mut NetworkMetrics, deliveries: &mut Vec<Delivery>) {
+        debug_assert!(
+            now >= self.next_cycle,
+            "channel {} stepped twice",
+            self.home
+        );
+        if now != self.next_cycle {
+            self.catch_up(now);
+        }
+        self.next_cycle = now + 1;
         self.phase_advance();
         self.phase_arrival(now, m);
         self.phase_acks(now, m);
@@ -1223,6 +1300,132 @@ mod tests {
             with > without,
             "sit-out should help the far node ({with} vs {without})"
         );
+    }
+
+    /// Step one clone of the quiescent `ch` through `k` idle cycles from
+    /// `from` and catch a second clone up over the same cycles: the two
+    /// must key, and print, identically.
+    fn assert_catch_up_matches_idle_steps<A, F>(ch: &Channel<A, F>, from: Cycle, k: u64, what: &str)
+    where
+        A: Arbiter + Clone + std::fmt::Debug,
+        F: Flow + Clone + std::fmt::Debug,
+    {
+        assert!(ch.is_quiescent(), "{what}: not quiescent");
+        let mut m = NetworkMetrics::new();
+        let mut d = Vec::new();
+        let mut stepped = ch.clone();
+        for now in from..from + k {
+            stepped.step(now, &mut m, &mut d);
+            assert!(stepped.is_quiescent(), "{what}: idle step {now} woke up");
+        }
+        assert!(d.is_empty(), "{what}: an idle step delivered");
+        let mut caught_up = ch.clone();
+        caught_up.catch_up(from + k);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        stepped.state_key(from + k, &mut want);
+        caught_up.state_key(from + k, &mut got);
+        assert_eq!(got, want, "{what}: state key after {k} skipped cycles");
+        assert_eq!(
+            format!("{caught_up:?}"),
+            format!("{stepped:?}"),
+            "{what}: state after {k} skipped cycles"
+        );
+    }
+
+    /// Skip counts checked from each quiescent state: every `k` below four
+    /// sweep periods, plus long sleeps.
+    fn skip_counts(cfg: &NetworkConfig) -> impl Iterator<Item = u64> {
+        (0..4 * cfg.ring_segments as u64).chain([1_000, 4_099, 65_537])
+    }
+
+    #[test]
+    fn catch_up_matches_idle_steps_for_every_pairing() {
+        let mut configs = Vec::new();
+        for scheme in Scheme::paper_set(2) {
+            configs.push(NetworkConfig::paper_default(scheme));
+            configs.push(NetworkConfig::small(scheme));
+        }
+        // Token slot with fewer buffer slots than the stream's period
+        // `L` (4 on `small`, 8 on `paper_default`): the idle stream is
+        // periodic, not a fixed point.
+        for buffer in [1, 2, 3] {
+            let mut c = NetworkConfig::small(Scheme::TokenSlot);
+            c.input_buffer = buffer;
+            configs.push(c);
+        }
+        let mut c = NetworkConfig::paper_default(Scheme::TokenSlot);
+        c.input_buffer = 3;
+        configs.push(c);
+        for cfg in &configs {
+            // One packet from senders spread around the ring (distance 0,
+            // one before and at a window edge, the last node), delivered
+            // and then left to go quiet; plus a fresh channel.
+            let step = cfg.nodes / cfg.ring_segments;
+            for src in [
+                None,
+                Some(1),
+                Some(step - 1),
+                Some(step),
+                Some(cfg.nodes - 1),
+            ] {
+                with_channel!(0, cfg, |ch| {
+                    let mut m = NetworkMetrics::new();
+                    let mut d = Vec::new();
+                    let mut now = 0;
+                    if let Some(src) = src {
+                        ch.enqueue(pkt(1, src, 0, 0));
+                        while d.is_empty() || !ch.is_quiescent() {
+                            ch.step(now, &mut m, &mut d);
+                            now += 1;
+                            assert!(now < 1_000, "{:?} never went quiet", cfg.scheme);
+                        }
+                    }
+                    let what = format!("{:?} buffer {} src {src:?}", cfg.scheme, cfg.input_buffer);
+                    for k in skip_counts(cfg) {
+                        assert_catch_up_matches_idle_steps(&ch, now, k, &what);
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn catch_up_resumes_a_released_global_token_from_an_unaligned_distance() {
+        use crate::schemes::{CreditFlow, GlobalArbiter, GlobalTokenState, HandshakeFlow};
+        for cfg in [
+            NetworkConfig::paper_default(Scheme::TokenChannel),
+            NetworkConfig::small(Scheme::TokenChannel),
+        ] {
+            let step = cfg.nodes / cfg.ring_segments;
+            for node in 1..cfg.nodes {
+                // A token held by `node`, whose sender has nothing left:
+                // the first step releases it to resume at `node + 1`.
+                let held = GlobalArbiter {
+                    state: GlobalTokenState::Held { node },
+                };
+                // Credits freed since the last home pass, so the closed
+                // form's wrap must reimburse them.
+                let credits = CreditFlow {
+                    credits: 1,
+                    uncommitted: crate::convert::narrow_u32(cfg.input_buffer - 1),
+                    leaked: 0,
+                };
+                let handshake = HandshakeFlow::new(cfg.ring_segments, false);
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                let mut ch = Channel::with_pipeline(0, &cfg, held.clone(), credits);
+                ch.step(0, &mut m, &mut d);
+                let next = node % (cfg.nodes - 1);
+                assert_eq!(ch.arbiter.state, GlobalTokenState::Sweeping { next });
+                let mut ghs = Channel::with_pipeline(0, &cfg, held, handshake);
+                ghs.step(0, &mut m, &mut d);
+                for k in skip_counts(&cfg) {
+                    let what = format!("{} nodes, released at {node} (step {step})", cfg.nodes);
+                    assert_catch_up_matches_idle_steps(&ch, 1, k, &format!("credit, {what}"));
+                    assert_catch_up_matches_idle_steps(&ghs, 1, k, &format!("GHS, {what}"));
+                }
+            }
+        }
     }
 
     #[test]

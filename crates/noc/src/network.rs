@@ -15,7 +15,8 @@ use crate::fabric::{sealed::Sealed, Fabric, Layer};
 use crate::metrics::NetworkMetrics;
 use crate::packet::Packet;
 use crate::schemes::{
-    CirculationFlow, CreditFlow, DistributedArbiter, GlobalArbiter, HandshakeFlow, SlotFlow,
+    Arbiter, BitPlane, CirculationFlow, CreditFlow, DistributedArbiter, Flow, GlobalArbiter,
+    HandshakeFlow, SlotFlow,
 };
 use crate::sources::TRAFFIC_SEED_XOR;
 use pnoc_sim::Cycle;
@@ -25,7 +26,7 @@ use pnoc_sim::Cycle;
 /// once in [`build_channels`]; every per-cycle loop then runs a compiled
 /// step body with both scheme layers inlined — the enum dispatch happens
 /// once per *phase sweep*, not once per channel per hook.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Channels {
     /// Token channel: global token carrying credits.
     Credit(Vec<Channel<GlobalArbiter, CreditFlow>>),
@@ -54,13 +55,30 @@ macro_rules! for_channels {
     };
 }
 
+/// The concrete channel vector of one `Channels` variant, reached from
+/// code generic over the pairing (the auditor's sleep-time clones).
+trait ChannelVec<A, F> {
+    /// The vector, if `self` is the variant holding `Channel<A, F>`.
+    fn vec_mut(&mut self) -> Option<&mut Vec<Channel<A, F>>>;
+}
+
 /// Wrap each concrete channel vector in its `Channels` variant, so
-/// [`build_channels`] can construct channels generically over the pairing.
+/// [`build_channels`] can construct channels generically over the pairing,
+/// and unwrap it again through [`ChannelVec`].
 macro_rules! channels_from {
     ($($variant:ident: $a:ty, $f:ty;)*) => {$(
         impl From<Vec<Channel<$a, $f>>> for Channels {
             fn from(chs: Vec<Channel<$a, $f>>) -> Self {
                 Channels::$variant(chs)
+            }
+        }
+
+        impl ChannelVec<$a, $f> for Channels {
+            fn vec_mut(&mut self) -> Option<&mut Vec<Channel<$a, $f>>> {
+                match self {
+                    Channels::$variant(chs) => Some(chs),
+                    _ => None,
+                }
             }
         }
     )*};
@@ -104,10 +122,19 @@ pub type Network = Fabric<Mwsr>;
 
 /// The MWSR [`Layer`]: one channel per home node, monomorphized per scheme
 /// family, plus the MWSR-only observers.
+///
+/// Quiescent channels sleep: `awake` marks the homes [`Layer::step`]
+/// steps, in ascending order. A channel that ends its step quiescent
+/// ([`Channel::is_quiescent`]) is cleared from it; a packet leaving the
+/// injection router sets its home again, and the channel applies the
+/// skipped idle cycles in closed form ([`Channel::catch_up`]) before the
+/// packet is queued.
 #[derive(Debug)]
 pub struct Mwsr {
     cfg: NetworkConfig,
     channels: Channels,
+    /// Homes whose channel is stepped every cycle.
+    awake: BitPlane,
     /// Cycle-level invariant auditor; `None` until
     /// [`Network::attach_auditor`] is called.
     audit: Option<Box<Audit>>,
@@ -124,9 +151,14 @@ impl Layer for Mwsr {
 
     fn build(cfg: NetworkConfig) -> Result<Self, String> {
         cfg.validate()?;
+        let mut awake = BitPlane::new(cfg.nodes);
+        for h in 0..cfg.nodes {
+            awake.set(h, true);
+        }
         Ok(Self {
             cfg,
             channels: build_channels(&cfg),
+            awake,
             audit: None,
             sampler: None,
         })
@@ -160,22 +192,34 @@ impl Layer for Mwsr {
         deliveries: &mut Vec<Delivery>,
     ) {
         // One monomorphization branch for the whole cycle: inject drain plus
-        // every channel's step run over the concrete channel type.
+        // every awake channel's step run over the concrete channel type.
+        let awake = &mut self.awake;
+        let audit = &mut self.audit;
         for_channels!(&mut self.channels, chs => {
             if inject_cal.is_empty() {
                 inject_cal.fast_forward(now);
             } else {
                 for mut pkt in inject_cal.drain(now) {
                     pkt.enqueued_at = now;
-                    chs[pkt.dst_node as usize].enqueue(pkt);
+                    let home = pkt.dst_node as usize;
+                    let ch = &mut chs[home];
+                    if !awake.get(home) {
+                        awake.set(home, true);
+                        ch.catch_up(now);
+                        if let Some(a) = audit.as_deref_mut() {
+                            audit_wake(a, ch, now);
+                        }
+                    }
+                    ch.enqueue(pkt);
                 }
             }
-            for ch in chs.iter_mut() {
-                ch.step(now, metrics, deliveries);
+            match audit.as_deref_mut() {
+                None => step_marked(chs, awake, true, now, metrics, deliveries),
+                Some(a) => audited_step(a, chs, awake, now, metrics, deliveries),
             }
         });
         if let Some(s) = self.sampler.as_mut() {
-            sample_channels(s, &self.channels, now);
+            sample_channels(s, &mut self.channels, now);
         }
         if let Some(a) = self.audit.as_deref_mut() {
             audit_cycle(a, &self.channels, now, inject_cal, metrics, deliveries);
@@ -206,25 +250,142 @@ impl Layer for Mwsr {
     }
 }
 
-/// Record every channel's occupancy if the sampler is due this cycle. Out
-/// of line so an unsampled run pays one predictable branch per cycle.
+/// Record every channel's occupancy if the sampler is due this cycle,
+/// catching sleeping channels up to the end of `now` first (a sleeping
+/// token channel's credits and a token stream's count still move). Out of
+/// line so an unsampled run pays one predictable branch per cycle.
 #[cold]
 #[inline(never)]
-fn sample_channels(s: &mut pnoc_obs::OccupancySampler, channels: &Channels, now: Cycle) {
+fn sample_channels(s: &mut pnoc_obs::OccupancySampler, channels: &mut Channels, now: Cycle) {
     if s.due(now) {
         for_channels!(channels, chs => for ch in chs {
+            ch.catch_up(now + 1);
             s.record(ch.occupancy_sample(now));
         });
     }
 }
 
 /// The attached auditor with its scratch snapshot buffers (allocations
-/// reused across sampled cycles).
+/// reused across sampled cycles), and a clone of every sleeping channel.
 #[derive(Debug, Default)]
 struct Audit {
     auditor: InvariantAuditor,
     views: Vec<ChannelAuditView>,
     pending: Vec<u64>,
+    /// Clones taken as channels went to sleep; `asleep` marks those that
+    /// still stand for a sleeping channel and so step every cycle.
+    clones: Option<Channels>,
+    asleep: BitPlane,
+    /// Scratch: the awake plane before this cycle's step, and the clones'
+    /// metrics and deliveries (they must deliver nothing).
+    was_awake: BitPlane,
+    clone_metrics: NetworkMetrics,
+    clone_deliveries: Vec<Delivery>,
+    /// The two state keys a wake compares.
+    keys: (Vec<u64>, Vec<u64>),
+    /// Wakes cross-checked so far.
+    wakes: u64,
+}
+
+/// Step the channels `marked` holds, in ascending home order (the order
+/// in which every channel stepped before channels could sleep, so
+/// deliveries keep their order). With `sleep`, a channel that ends its
+/// step quiescent is unmarked.
+///
+/// This is the network's one call site of [`Channel::step`], so the step
+/// inlines into this loop. It stays out of line because the auditor runs
+/// its sleep-time clones through it too: a second inlined copy of the step
+/// would push the phases out of line, which slows every ring run.
+#[inline(never)]
+fn step_marked<A: Arbiter, F: Flow>(
+    chs: &mut [Channel<A, F>],
+    marked: &mut BitPlane,
+    sleep: bool,
+    now: Cycle,
+    metrics: &mut NetworkMetrics,
+    deliveries: &mut Vec<Delivery>,
+) {
+    marked.retain(|home| {
+        let ch = &mut chs[home];
+        ch.step(now, metrics, deliveries);
+        !(sleep && ch.is_quiescent())
+    });
+}
+
+/// [`step_marked`] with the auditor attached: the clone of every sleeping
+/// channel takes this cycle's real step first (it must deliver nothing),
+/// and each channel that goes to sleep is cloned, so its clone steps for
+/// real through every cycle it skips and [`audit_wake`] can compare.
+///
+/// # Panics
+///
+/// Panics when a sleeping channel's clone delivers a packet.
+#[cold]
+#[inline(never)]
+fn audited_step<A: Arbiter + Clone, F: Flow + Clone>(
+    a: &mut Audit,
+    chs: &mut [Channel<A, F>],
+    awake: &mut BitPlane,
+    now: Cycle,
+    metrics: &mut NetworkMetrics,
+    deliveries: &mut Vec<Delivery>,
+) where
+    Channels: ChannelVec<A, F>,
+{
+    let Some(clones) = a.clones.as_mut().and_then(ChannelVec::vec_mut) else {
+        return step_marked(chs, awake, true, now, metrics, deliveries);
+    };
+    step_marked(
+        clones,
+        &mut a.asleep,
+        false,
+        now,
+        &mut a.clone_metrics,
+        &mut a.clone_deliveries,
+    );
+    assert!(
+        a.clone_deliveries.is_empty(),
+        "invariant auditor, cycle {now}: a sleeping channel's clone delivered a packet"
+    );
+    a.was_awake.clone_from(awake);
+    step_marked(chs, awake, true, now, metrics, deliveries);
+    for home in &a.was_awake {
+        if !awake.get(home) {
+            clones[home].clone_from(&chs[home]);
+            a.asleep.set(home, true);
+        }
+    }
+}
+
+/// Check a woken channel's closed-form catch-up against its sleep-time
+/// clone, which has stepped for real through every skipped cycle: the two
+/// state keys must be equal.
+///
+/// # Panics
+///
+/// Panics with a diagnostic when the two states differ.
+#[cold]
+#[inline(never)]
+fn audit_wake<A: Arbiter, F: Flow>(a: &mut Audit, ch: &Channel<A, F>, now: Cycle)
+where
+    Channels: ChannelVec<A, F>,
+{
+    let Some(clones) = a.clones.as_mut().and_then(ChannelVec::vec_mut) else {
+        return;
+    };
+    let home = ch.home();
+    a.wakes += 1;
+    a.asleep.set(home, false);
+    let (stepped, caught_up) = &mut a.keys;
+    stepped.clear();
+    caught_up.clear();
+    clones[home].state_key(now, stepped);
+    ch.state_key(now, caught_up);
+    assert!(
+        stepped == caught_up,
+        "invariant auditor, cycle {now}: channel {home} woke in a state \
+         its skipped idle steps do not reach"
+    );
 }
 
 /// Run the cycle-level invariant auditor against this cycle's end state.
@@ -320,6 +481,8 @@ impl Network {
         );
         self.layer.audit = Some(Box::new(Audit {
             auditor: InvariantAuditor::new(self.layer.cfg.nodes),
+            clones: Some(self.layer.channels.clone()),
+            asleep: BitPlane::new(self.layer.cfg.nodes),
             ..Audit::default()
         }));
     }
@@ -628,6 +791,47 @@ mod tests {
         assert_eq!(ma.faults_acks_lost, mb.faults_acks_lost);
         assert_eq!(ma.timeout_retransmissions, mb.timeout_retransmissions);
         assert_eq!(ma.duplicates_suppressed, mb.duplicates_suppressed);
+    }
+
+    #[test]
+    fn audited_wakes_reproduce_the_skipped_idle_steps() {
+        // Bursty low-rate traffic puts channels to sleep and wakes them
+        // thousands of times; at every wake the auditor steps a clone taken
+        // at sleep time through each skipped cycle and compares it with the
+        // closed-form catch-up. One run per pairing, plus admission buckets
+        // that must refill before a channel may sleep.
+        let mut configs: Vec<NetworkConfig> = Scheme::paper_set(2)
+            .into_iter()
+            .map(NetworkConfig::small)
+            .collect();
+        let mut qos = NetworkConfig::small(Scheme::Dhs { setaside: 2 });
+        qos.admission = crate::config::AdmissionPolicy::TokenBucket {
+            period: 16,
+            refill: [1; pnoc_traffic::MAX_CLASSES],
+            burst: [2; pnoc_traffic::MAX_CLASSES],
+        };
+        configs.push(qos);
+        for cfg in configs {
+            let mut net = Network::new(cfg).expect("invalid config");
+            net.attach_auditor();
+            let mut src = crate::sources::ClassedSource::new(
+                pnoc_traffic::classes::TenantMixKind::BurstyAdversary,
+                0.01,
+                TrafficPattern::UniformRandom,
+                cfg.nodes,
+                cfg.cores_per_node,
+                cfg.seed ^ TRAFFIC_SEED_XOR,
+            );
+            net.run_open_loop(&mut src, RunPlan::quick());
+            let wakes = net.layer.audit.as_ref().map_or(0, |a| a.wakes);
+            assert!(
+                wakes > 1_000,
+                "{:?}: only {wakes} wakes checked",
+                cfg.scheme
+            );
+            assert!(net.is_drained(), "{:?} left packets in flight", cfg.scheme);
+            assert_eq!(net.metrics().generated, net.metrics().delivered);
+        }
     }
 
     /// The auditor sees the planted duplicate-delivery bug on the shipped

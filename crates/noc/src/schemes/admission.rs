@@ -92,6 +92,14 @@ impl AdmissionCtl {
         self.granted_by_class[c] += 1;
     }
 
+    /// Whether every bucket is at capacity, so [`AdmissionCtl::tick`] is a
+    /// no-op until the next grant (one of the channel's quiescence
+    /// conditions).
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.tokens == self.burst
+    }
+
     /// Current bucket levels (state keys, invariant checks).
     pub fn tokens(&self) -> [u8; MAX_CLASSES] {
         self.tokens

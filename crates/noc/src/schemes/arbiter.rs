@@ -157,6 +157,24 @@ pub trait Arbiter {
     /// Live distributed tokens (0 under global arbitration).
     fn outstanding_tokens(&self) -> usize;
 
+    /// Whether [`Arbiter::fast_forward`] can stand in for idle cycles from
+    /// this state: a global token must be sweeping (a held token waits on
+    /// its holder, a lost one on the watchdog); a token stream always can.
+    fn can_sleep(&self) -> bool;
+
+    /// Apply `k` idle cycles at once: the state `k` calls to
+    /// [`Arbiter::step`] reach on a quiescent channel (no sendable sender,
+    /// empty home buffer, no injector, no suppressed emission) of `nodes`
+    /// nodes passing `step` per cycle, with a home buffer of `buffer_cap`.
+    fn fast_forward<F: Flow>(
+        &mut self,
+        k: u64,
+        flow: &mut F,
+        nodes: usize,
+        step: usize,
+        buffer_cap: usize,
+    );
+
     /// Append the arbiter's canonical state encoding for
     /// [`crate::channel::Channel::state_key`]. `credits_word` is the paired
     /// flow's credit count (or the caller's separator sentinel) — the global
@@ -258,6 +276,40 @@ impl Arbiter for GlobalArbiter {
         0
     }
 
+    #[inline]
+    fn can_sleep(&self) -> bool {
+        matches!(self.state, GlobalTokenState::Sweeping { .. })
+    }
+
+    /// An idle sweep grabs nothing, so the token moves `step` distances a
+    /// cycle and wraps at the home: `to_wrap` cycles from `next` (which
+    /// may be unaligned after a held token's release), then every
+    /// `ceil((nodes - 1) / step)` cycles from distance 0. Only the first
+    /// wrap reimburses anything — no slot frees while the channel sleeps.
+    fn fast_forward<F: Flow>(
+        &mut self,
+        k: u64,
+        flow: &mut F,
+        nodes: usize,
+        step: usize,
+        _buffer_cap: usize,
+    ) {
+        let GlobalTokenState::Sweeping { next } = self.state else {
+            debug_assert!(false, "fast-forwarding a {:?} token", self.state);
+            return;
+        };
+        let last = nodes - 1;
+        let to_wrap = last.saturating_sub(next).div_ceil(step).max(1) as u64;
+        let next = if k < to_wrap {
+            next + k as usize * step
+        } else {
+            flow.on_home_pass();
+            let period = last.div_ceil(step) as u64;
+            ((k - to_wrap) % period) as usize * step
+        };
+        self.state = GlobalTokenState::Sweeping { next };
+    }
+
     fn state_key_into(&self, now: Cycle, credits_word: u64, out: &mut Vec<u64>) {
         out.push(0);
         match self.state {
@@ -282,6 +334,12 @@ impl Default for GlobalArbiter {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Age at which an untaken distributed token has swept the last window
+/// and dies at the home: a token of age `a` covers `[a·step, (a+1)·step)`.
+fn retire_age(nodes: usize, step: usize) -> usize {
+    (nodes - 1).saturating_sub(step).div_ceil(step)
 }
 
 /// The token-stream state machine (token slot, DHS, DHS with circulation).
@@ -363,13 +421,56 @@ impl Arbiter for DistributedArbiter {
         // completed the loop un-taken and die at the home (the home
         // re-emits fresh ones; for token slot the reservation returns to
         // the pool implicitly).
-        let die_at = last.saturating_sub(cx.step);
-        self.tokens.retire(die_at.div_ceil(cx.step));
+        self.tokens.retire(retire_age(cx.nodes, cx.step));
     }
 
     #[inline]
     fn outstanding_tokens(&self) -> usize {
         self.tokens.count()
+    }
+
+    #[inline]
+    fn can_sleep(&self) -> bool {
+        true
+    }
+
+    /// An idle cycle ages the stream, emits if the flow allows, and
+    /// retires ages ≥ `M` ([`retire_age`]); nothing is grabbed. At most
+    /// `M` tokens are out after ageing, and fewer tokens never forbid an
+    /// emission, so when `M` tokens do not, every idle cycle emits (DHS,
+    /// circulation, a token slot with more than `M` buffer slots) and the
+    /// stream is fixed after `M` cycles. Otherwise the token slot emits
+    /// while fewer than `buffer_cap` tokens are out: within `M` cycles
+    /// every window of `L = M + 1` cycles holds `buffer_cap` emissions,
+    /// and from then on a cycle emits exactly when the cycle `L` before it
+    /// did. The state after `L` or more cycles therefore repeats with
+    /// period `L`, so at most `2L` idle cycles are ever simulated, whatever
+    /// `k` is.
+    fn fast_forward<F: Flow>(
+        &mut self,
+        k: u64,
+        flow: &mut F,
+        nodes: usize,
+        step: usize,
+        buffer_cap: usize,
+    ) {
+        let retire_at = retire_age(nodes, step);
+        let always = flow.may_emit(0, retire_at, buffer_cap, false);
+        let period = retire_at as u64 + 1;
+        let cycles = if always {
+            k.min(retire_at as u64)
+        } else if k > 2 * period {
+            period + (k - period) % period
+        } else {
+            k
+        };
+        for _ in 0..cycles {
+            self.tokens.tick();
+            if always || flow.may_emit(0, self.tokens.count(), buffer_cap, false) {
+                self.tokens.emit();
+            }
+            self.tokens.retire(retire_at);
+        }
     }
 
     fn state_key_into(&self, _now: Cycle, _credits_word: u64, out: &mut Vec<u64>) {

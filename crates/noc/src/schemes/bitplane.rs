@@ -118,6 +118,25 @@ impl BitPlane {
         None
     }
 
+    /// Visit the set distances in ascending order, clearing each one for
+    /// which `keep` returns `false`.
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut live = self.live;
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let d = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(d) {
+                    *word &= !(1u64 << (d % 64));
+                    live -= 1;
+                }
+            }
+        }
+        self.live = live;
+    }
+
     /// Iterate the set distances in ascending order, one `trailing_zeros`
     /// word scan at a time.
     #[inline]
@@ -142,6 +161,13 @@ impl BitPlane {
                 _ => 0,
             },
         }
+    }
+}
+
+impl Default for BitPlane {
+    /// An empty plane over no distances.
+    fn default() -> Self {
+        Self::new(0)
     }
 }
 
@@ -570,6 +596,22 @@ mod tests {
         s.clear();
         assert!(!s.any());
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn retain_visits_in_order_and_clears_rejected_bits() {
+        let mut s = BitPlane::new(150);
+        for d in [2usize, 63, 64, 100, 149] {
+            s.set(d, true);
+        }
+        let mut seen = Vec::new();
+        s.retain(|d| {
+            seen.push(d);
+            d % 2 == 0
+        });
+        assert_eq!(seen, vec![2, 63, 64, 100, 149]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 64, 100]);
+        assert_eq!(s.count(), 3);
     }
 
     #[test]

@@ -341,6 +341,82 @@ mod tests {
     }
 
     #[test]
+    fn distributed_fast_forward_matches_idle_steps() {
+        // Every stream of live ages below the rig's retire age (3: a
+        // 16-node, 4-segment ring), under DHS (emits every cycle) and the
+        // token slot at every buffer size around the period `L = 4` —
+        // fixed points and periodic streams alike.
+        const RETIRE_AT: usize = 3;
+        let mut m = NetworkMetrics::new();
+        for start in 0u32..(1 << RETIRE_AT) {
+            let mut base = DistributedArbiter::new();
+            for age in (0..RETIRE_AT).rev() {
+                base.tokens.tick();
+                if start & (1 << age) != 0 {
+                    base.tokens.emit();
+                }
+            }
+            for cap in 1..=6 {
+                if base.tokens.count() > cap {
+                    continue; // the token slot never has more out
+                }
+                for k in (0..16).chain([100, 1_001, 65_537]) {
+                    let mut rig = Rig::new(SendMode::HoldHead);
+                    let (mut slot, mut dhs) = (base.clone(), base.clone());
+                    let mut slot_flow = SlotFlow::default();
+                    let mut dhs_flow = HandshakeFlow::new(4, true);
+                    for now in 0..k {
+                        let mut cx = rig.cx(now);
+                        cx.buffer_cap = cap;
+                        slot.step(&mut slot_flow, &mut cx, &mut m);
+                        let mut cx = rig.cx(now);
+                        dhs.step(&mut dhs_flow, &mut cx, &mut m);
+                    }
+                    let mut jumped = base.clone();
+                    jumped.fast_forward(k, &mut SlotFlow::default(), 16, 4, cap);
+                    assert_eq!(jumped.tokens, slot.tokens, "slot {start:b} cap {cap} k {k}");
+                    let mut jumped = base.clone();
+                    jumped.fast_forward(k, &mut HandshakeFlow::new(4, true), 16, 4, cap);
+                    assert_eq!(jumped.tokens, dhs.tokens, "DHS {start:b} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn global_fast_forward_matches_idle_steps() {
+        // From every sweep position, aligned or not, with credits freed
+        // since the last home pass waiting to be reimbursed.
+        let mut m = NetworkMetrics::new();
+        for next in 0..15 {
+            let base = GlobalArbiter {
+                state: GlobalTokenState::Sweeping { next },
+            };
+            let flow = CreditFlow {
+                credits: 1,
+                uncommitted: 2,
+                leaked: 0,
+            };
+            for k in (0..20).chain([100, 1_001]) {
+                let mut rig = Rig::new(SendMode::HoldHead);
+                let (mut stepped, mut stepped_flow) = (base.clone(), flow.clone());
+                for now in 0..k {
+                    let mut cx = rig.cx(now);
+                    stepped.step(&mut stepped_flow, &mut cx, &mut m);
+                }
+                let (mut jumped, mut jumped_flow) = (base.clone(), flow.clone());
+                jumped.fast_forward(k, &mut jumped_flow, 16, 4, 4);
+                assert_eq!(jumped.state, stepped.state, "from {next}, k {k}");
+                assert_eq!(
+                    (jumped_flow.credits, jumped_flow.uncommitted),
+                    (stepped_flow.credits, stepped_flow.uncommitted),
+                    "from {next}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ack_timer_arms_and_fires_as_a_timeout_retransmission() {
         // ACK-timer arming: transmit under recovery, never deliver the
         // handshake, and check the timer retransmits exactly once per

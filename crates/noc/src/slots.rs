@@ -43,6 +43,18 @@ impl<T> SlotRing<T> {
         };
     }
 
+    /// Advance the ring `k` segments at once: the same state as `k` calls
+    /// to [`SlotRing::advance`] (a quiescent channel catching up).
+    pub fn rotate(&mut self, k: u64) {
+        let len = self.slots.len();
+        let k = (k % len as u64) as usize;
+        self.base = if self.base >= k {
+            self.base - k
+        } else {
+            self.base + len - k
+        };
+    }
+
     #[inline]
     fn index_of(&self, segment: usize) -> usize {
         debug_assert!(segment < self.slots.len());
@@ -118,6 +130,22 @@ mod tests {
         assert_eq!(r.at(0), Some(&42)); // wrapped
         r.advance();
         assert_eq!(r.at(1), Some(&42)); // full loop
+    }
+
+    #[test]
+    fn rotate_matches_repeated_advance() {
+        for k in 0..20u64 {
+            let mut stepped: SlotRing<u32> = SlotRing::new(5);
+            let mut rotated: SlotRing<u32> = SlotRing::new(5);
+            stepped.put(2, 9);
+            rotated.put(2, 9);
+            for _ in 0..k {
+                stepped.advance();
+            }
+            rotated.rotate(k);
+            assert_eq!(stepped.base, rotated.base, "k = {k}");
+            assert_eq!(stepped.at((2 + k as usize) % 5), Some(&9));
+        }
     }
 
     #[test]

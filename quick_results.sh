@@ -10,7 +10,8 @@
 # The default set is every figure harness except `fairness`, whose quick pass
 # takes ~100 s; --deep adds it. results/quick/ is the checked-in reference
 # (written with --deep); ci.sh regenerates into a scratch DIR and cmps each
-# file against it. See EXPERIMENTS.md "Refreshing golden values".
+# file against it. See EXPERIMENTS.md "Refreshing the quick figure
+# outputs".
 set -e
 cd "$(dirname "$0")"
 
