@@ -6,8 +6,9 @@ set -e
 cd "$(dirname "$0")"
 
 # --deep: append the pre-merge deep-fuzz job (10k differential cases unless
-# PNOC_FUZZ_CASES says otherwise) after the standard gate, and add the
-# ~100 s `fairness` harness to the results gate. The default quick gate is
+# PNOC_FUZZ_CASES says otherwise) after the standard gate, add the
+# ~100 s `fairness` harness to the quick results gate, and compare the
+# full-fidelity results/ outputs with a fresh run. The default quick gate is
 # unchanged; see EXPERIMENTS.md "Pre-merge deep fuzz" for when a PR must run
 # this.
 DEEP=0
@@ -180,6 +181,23 @@ else
   diff -r -x 'fairness.*' results/quick "$QUICK_DIR"
 fi
 echo "results gate: every quick figure output is byte-identical"
+
+if [ "$DEEP" -eq 1 ]; then
+  echo "== results gate, full fidelity (results/ vs a fresh run) =="
+  # Rerun every harness whose full-fidelity output is checked in, with
+  # run_harnesses.sh's flags, inside a scratch directory laid out like the
+  # repo (so the `wrote results/...` lines match), and diff the tree
+  # against results/: a changed, missing or extra .txt, SVG or JSON fails.
+  # `fairness` (~27 min at full fidelity) stays on the quick gate above.
+  FULL_DIR=target/full-results
+  rm -rf "$FULL_DIR" && mkdir -p "$FULL_DIR/results/json"
+  BIN_DIR=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
+  for bin in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience; do
+    (cd "$FULL_DIR" && "$BIN_DIR/$bin" --svg results --json results/json > "results/$bin.txt" 2>&1)
+  done
+  diff -r -x quick -x README.md -x 'fairness*' results "$FULL_DIR/results"
+  echo "results gate: every full-fidelity figure output is byte-identical"
+fi
 
 echo "== cargo test =="
 cargo test -q --workspace --offline

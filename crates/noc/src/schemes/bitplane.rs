@@ -118,6 +118,14 @@ impl BitPlane {
         None
     }
 
+    /// Clear word `w` (distances `64·w .. 64·w + 63`) and return its bits.
+    #[inline]
+    pub fn take_word(&mut self, w: usize) -> u64 {
+        let bits = std::mem::take(&mut self.words[w]);
+        self.live -= bits.count_ones() as usize;
+        bits
+    }
+
     /// Visit the set distances in ascending order, clearing each one for
     /// which `keep` returns `false`.
     #[inline]
@@ -612,6 +620,19 @@ mod tests {
         assert_eq!(seen, vec![2, 63, 64, 100, 149]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 64, 100]);
         assert_eq!(s.count(), 3);
+    }
+
+    #[test]
+    fn take_word_clears_one_word_and_the_live_count() {
+        let mut s = BitPlane::new(150);
+        for d in [2usize, 63, 64, 100, 149] {
+            s.set(d, true);
+        }
+        assert_eq!(s.take_word(0), (1 << 2) | (1 << 63));
+        assert_eq!(s.take_word(0), 0);
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.take_word(2), 1 << (149 - 128));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![64, 100]);
     }
 
     #[test]

@@ -58,6 +58,52 @@ pub const FUZZ_STREAM: u64 = 0xF0_22;
 /// master seed still explore independent randomness.
 pub const FLEET_STREAM: u64 = 0x000F_1EE7;
 
+/// The inter-arrival gap sampler of a Bernoulli process at one rate, with
+/// the rate's `ln(1 − p)` computed once. It is the only gap formula:
+/// [`SimRng::geometric_gap`] builds one per draw, so a cached sampler and
+/// the uncached call perform the same `f64` operations and return the same
+/// bits from the same generator state.
+///
+/// ```
+/// use pnoc_sim::rng::{GeometricGap, SimRng};
+/// let (mut a, mut b) = (SimRng::seed_from(3), SimRng::seed_from(3));
+/// let gap = GeometricGap::new(0.02);
+/// assert_eq!(gap.sample(&mut a), b.geometric_gap(0.02));
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct GeometricGap {
+    p: f64,
+    ln_q: f64,
+}
+
+impl GeometricGap {
+    /// The sampler for success probability `p` per cycle.
+    pub fn new(p: f64) -> Self {
+        Self {
+            p,
+            ln_q: (1.0 - p).ln(),
+        }
+    }
+
+    /// The number of whole cycles until the next success (at least 1), or
+    /// `u64::MAX` for `p <= 0`. Draws one `f64` from `rng` when `0 < p < 1`
+    /// and nothing otherwise.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        if self.p <= 0.0 {
+            return u64::MAX;
+        }
+        if self.p >= 1.0 {
+            return 1;
+        }
+        // Inverse CDF of the geometric distribution.
+        let u = rng.f64().max(f64::MIN_POSITIVE);
+        let g = (u.ln() / self.ln_q).ceil();
+        (g as u64).max(1)
+    }
+}
+
 /// A deterministic xoshiro256** PRNG.
 ///
 /// ```
@@ -164,17 +210,11 @@ impl SimRng {
     /// Sample a geometric-ish inter-arrival gap for a Bernoulli process of
     /// rate `p` per cycle: the number of whole cycles until the next success
     /// (at least 1). Returns `u64::MAX` for `p <= 0`.
+    ///
+    /// This is [`GeometricGap::sample`] with a fresh `ln(1 − p)`; callers
+    /// that draw many gaps at one rate build the [`GeometricGap`] once.
     pub fn geometric_gap(&mut self, p: f64) -> u64 {
-        if p <= 0.0 {
-            return u64::MAX;
-        }
-        if p >= 1.0 {
-            return 1;
-        }
-        // Inverse CDF of the geometric distribution.
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        let g = (u.ln() / (1.0 - p).ln()).ceil();
-        (g as u64).max(1)
+        GeometricGap::new(p).sample(self)
     }
 
     /// Fisher–Yates shuffle.
@@ -316,6 +356,49 @@ mod tests {
         assert_eq!(r.geometric_gap(0.0), u64::MAX);
         assert_eq!(r.geometric_gap(1.0), 1);
         assert!(r.geometric_gap(0.999) >= 1);
+    }
+
+    /// The gap formula as it read before `ln(1 − p)` was hoisted out of
+    /// the draw.
+    fn inline_ln_gap(rng: &mut SimRng, p: f64) -> u64 {
+        if p <= 0.0 {
+            return u64::MAX;
+        }
+        if p >= 1.0 {
+            return 1;
+        }
+        let u = rng.f64().max(f64::MIN_POSITIVE);
+        let g = (u.ln() / (1.0 - p).ln()).ceil();
+        (g as u64).max(1)
+    }
+
+    /// The pre-computed `ln(1 − p)` path is the uncached formula bit for
+    /// bit: same gap and same generator state after every draw, over rates
+    /// that cover the edge cases, the overflow tail and the paper's loads.
+    #[test]
+    fn cached_gap_matches_geometric_gap() {
+        let rates = [
+            -0.5, 0.0, 1e-12, 1e-4, 0.004, 0.02, 0.08, 0.14, 0.2, 0.5, 0.999, 1.0, 1.5,
+        ];
+        for &p in &rates {
+            let gap = GeometricGap::new(p);
+            for seed in 0..8 {
+                let mut cached = SimRng::seed_from(seed);
+                let mut uncached = SimRng::seed_from(seed);
+                let mut inline = SimRng::seed_from(seed);
+                for draw in 0..500 {
+                    let a = gap.sample(&mut cached);
+                    let b = uncached.geometric_gap(p);
+                    let c = inline_ln_gap(&mut inline, p);
+                    assert_eq!((a, a), (b, c), "rate {p} seed {seed} draw {draw}");
+                    assert_eq!(
+                        (cached.state(), cached.state()),
+                        (uncached.state(), inline.state()),
+                        "rate {p} seed {seed} draw {draw}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
