@@ -18,6 +18,14 @@
 //! — the line a forward scan would end on. Blank lines, a torn tail, CRLF
 //! endings and non-UTF-8 lines are skipped on the way.
 //!
+//! Appends cost the cells that changed, not the whole grid. The journal
+//! keeps each cell's compact JSON from its previous append and
+//! [`Journal::append_cells`] re-serializes only the cells its caller lists
+//! as folded since then; the line is assembled from those fragments and is
+//! byte for byte the full serialization (a `debug_assert` checks every
+//! line in debug builds), so the format does not change. A journal's first
+//! append, and every [`Journal::append`], serializes every cell.
+//!
 //! I/O-error contract: only a missing file, or an empty or whitespace-only
 //! one, starts a fresh journal (the header is appended). A header that
 //! cannot be read or parsed, and any read error, is an `Err`. A file with
@@ -81,7 +89,9 @@ struct Snapshot {
 }
 
 /// One snapshot line, as written: [`Snapshot`] borrowed from the live state,
-/// field for field (same order, same bytes), so appending clones no state.
+/// field for field (same order, same bytes). [`Journal::append_cells`]
+/// assembles these bytes from cached cell fragments and checks them against
+/// this serialization in debug builds.
 #[derive(Serialize)]
 struct SnapshotRef<'a> {
     seq: u64,
@@ -118,6 +128,9 @@ pub struct Journal {
     /// The file does not end in a newline (a torn tail), so the next append
     /// starts with one.
     unterminated: bool,
+    /// Compact JSON of each cell as of the previous append, in cell order;
+    /// empty (cold) until the first.
+    fragments: Vec<String>,
 }
 
 impl Journal {
@@ -154,17 +167,18 @@ impl Journal {
             unterminated: !ends_with_newline(&file, len).map_err(|e| io_err("read", e))?,
             file,
             path: path.to_path_buf(),
+            fragments: Vec::new(),
         };
         let fingerprint = spec_fingerprint(spec);
 
         let Some((header_line, body)) =
             read_header(&journal.file).map_err(|e| io_err("read", e))?
         else {
-            journal.write_line(&Header {
+            journal.write_line(to_json(&Header {
                 fleet_ckpt: FORMAT,
                 fingerprint,
                 total_jobs: spec.total_jobs(),
-            })?;
+            }))?;
             return Ok((journal, SweepState::new(spec)));
         };
         let header_line = std::str::from_utf8(&header_line)
@@ -196,20 +210,58 @@ impl Journal {
         Ok((journal, SweepState::new(spec)))
     }
 
-    /// Append one snapshot line. The caller bumps `state.seq` first.
+    /// Append one snapshot line of `state`, serializing every cell. The
+    /// caller bumps `state.seq` first.
     pub fn append(&mut self, state: &SweepState) -> Result<(), String> {
-        self.write_line(&SnapshotRef {
-            seq: state.seq,
-            completed: &state.completed,
-            cells: &state.cells,
-        })
+        self.fragments.clear();
+        self.append_cells(state, &[])
     }
 
-    /// Append `value` as one JSON line, terminating a torn tail first.
-    fn write_line(&mut self, value: &impl Serialize) -> Result<(), String> {
-        let json = serde_json::to_string(value).expect("journal line serializes");
+    /// Append one snapshot line of `state`, re-serializing only the cells
+    /// listed in `dirty` (duplicates allowed): every other cell must be
+    /// unchanged since this journal's previous append. A journal's first
+    /// append serializes every cell. The caller bumps `state.seq` first.
+    pub fn append_cells(&mut self, state: &SweepState, dirty: &[usize]) -> Result<(), String> {
+        if self.fragments.len() == state.cells.len() {
+            for &cell in dirty {
+                self.fragments[cell] = to_json(&state.cells[cell]);
+            }
+        } else {
+            self.fragments = state.cells.iter().map(to_json).collect();
+        }
+        // `SnapshotRef`'s serialization, assembled from the fragments.
+        let completed = to_json(&state.completed);
+        let cells_len: usize = self.fragments.iter().map(|f| f.len() + 1).sum();
+        let mut line = String::with_capacity(64 + completed.len() + cells_len);
+        line.push_str("{\"seq\":");
+        line.push_str(&state.seq.to_string());
+        line.push_str(",\"completed\":");
+        line.push_str(&completed);
+        line.push_str(",\"cells\":[");
+        for (i, fragment) in self.fragments.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            line.push_str(fragment);
+        }
+        line.push_str("]}");
+        debug_assert_eq!(
+            line,
+            to_json(&SnapshotRef {
+                seq: state.seq,
+                completed: &state.completed,
+                cells: &state.cells,
+            }),
+            "cached snapshot line differs from the full serialization"
+        );
+        self.write_line(line)
+    }
+
+    /// Append `json` as one line, terminating a torn tail first.
+    fn write_line(&mut self, mut json: String) -> Result<(), String> {
+        json.push('\n');
         let prefix: &[u8] = if self.unterminated { b"\n" } else { b"" };
-        [prefix, json.as_bytes(), b"\n"]
+        [prefix, json.as_bytes()]
             .iter()
             .try_for_each(|bytes| self.file.write_all(bytes))
             .map_err(|e| format!("append checkpoint {}: {e}", self.path.display()))?;
@@ -218,6 +270,11 @@ impl Journal {
             .flush()
             .map_err(|e| format!("flush checkpoint: {e}"))
     }
+}
+
+/// `value` as compact JSON.
+fn to_json(value: &impl Serialize) -> String {
+    serde_json::to_string(value).expect("journal line serializes")
 }
 
 /// A journal line as the state it snapshots, if it is a snapshot of `spec`:
@@ -341,6 +398,9 @@ impl<'f> LinesBackward<'f> {
 mod tests {
     use super::*;
     use crate::spec::SweepSpec;
+    use pnoc_noc::PointDetail;
+    use pnoc_sim::SimRng;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pnoc-fleet-tests");
@@ -696,6 +756,81 @@ mod tests {
                 .into_bytes();
             line.push(b'\n');
             assert_eq!(snapshot_line(state), line);
+        }
+    }
+
+    /// Every demo job's result, run once.
+    fn demo_details() -> &'static [PointDetail] {
+        static DETAILS: std::sync::OnceLock<Vec<PointDetail>> = std::sync::OnceLock::new();
+        DETAILS.get_or_init(|| {
+            let spec = SweepSpec::demo();
+            (0..spec.total_jobs()).map(|i| spec.run_job(i)).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Demo jobs folded in a random order, with snapshots appended at
+        /// random points through the cached path: every line written is the
+        /// full serialization of the state. The dirty lists hold the cells
+        /// folded since the previous append (a cell folded twice is listed
+        /// twice) plus random extra cells; a second append in a row lists
+        /// nothing. Now and then the journal is dropped, sometimes with a
+        /// torn tail, and reopened on the recovered state.
+        #[test]
+        fn cached_lines_equal_full_serialization(seed in any::<u64>()) {
+            let spec = SweepSpec::demo();
+            let details = demo_details();
+            let mut rng = SimRng::seed_from(seed);
+            let path = tmp("cached-lines.ckpt");
+            let _ = std::fs::remove_file(&path);
+            let (mut journal, mut state) = Journal::open(&path, &spec).expect("open");
+            let mut expect = std::fs::read(&path).expect("read");
+            let mut appended = state.clone();
+            let mut folded = Vec::new();
+            let mut order: Vec<u64> = (0..spec.total_jobs()).collect();
+            rng.shuffle(&mut order);
+            for index in order {
+                let cell = spec.cell_of(index);
+                let detail = &details[usize::try_from(index).expect("index")];
+                state.cells[cell].fold(&detail.summary, &detail.latency);
+                state.completed.insert(index);
+                folded.push(cell);
+                if rng.chance(0.25) {
+                    // A crash: the folds since the last append are lost.
+                    drop(journal);
+                    if rng.chance(0.5) {
+                        let torn = b"{\"seq\":99,\"completed\":{\"ran";
+                        let mut f = OpenOptions::new().append(true).open(&path).expect("open raw");
+                        f.write_all(torn).expect("tear");
+                        expect.extend_from_slice(torn);
+                    }
+                    let (reopened, recovered) = Journal::open(&path, &spec).expect("reopen");
+                    prop_assert_eq!(&recovered, &appended);
+                    journal = reopened;
+                    state = recovered;
+                    folded.clear();
+                    continue;
+                }
+                while rng.chance(0.4) {
+                    let mut dirty = std::mem::take(&mut folded);
+                    dirty.extend((0..rng.index(3)).map(|_| rng.index(spec.cells())));
+                    rng.shuffle(&mut dirty);
+                    state.seq += 1;
+                    journal.append_cells(&state, &dirty).expect("append");
+                    if expect.last() != Some(&b'\n') {
+                        expect.push(b'\n');
+                    }
+                    expect.extend(snapshot_line(&state));
+                    prop_assert!(
+                        std::fs::read(&path).expect("read") == expect,
+                        "seed {seed:#x}: snapshot seq {} differs from the full serialization",
+                        state.seq
+                    );
+                    appended = state.clone();
+                }
+            }
         }
     }
 }

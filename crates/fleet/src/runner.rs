@@ -2,8 +2,9 @@
 //!
 //! [`run_sweep`] submits a spec's incomplete index ranges to a [`Fleet`],
 //! folds each completed job into its cell's [`MergeSummary`] under one
-//! mutex (fold and mark-complete are a single atomic step, so a checkpoint
-//! snapshot can never observe a job folded-but-unmarked or vice versa),
+//! mutex (fold, mark-complete and marking the cell dirty for the next
+//! snapshot are a single atomic step, so a checkpoint snapshot can never
+//! observe a job folded-but-unmarked or vice versa),
 //! fires a callback when a cell's last replica lands (streaming mode), and
 //! periodically appends snapshots to the journal. The final report depends
 //! only on the *set* of completed jobs — see `agg` for the commutativity
@@ -89,19 +90,25 @@ fn cell_remaining(spec: &SweepSpec, state: &SweepState) -> Vec<u64> {
 
 /// Bump the sequence number and append a snapshot of the current state to
 /// the journal (caller has checked one is configured). The journal
-/// serializes the state in place: nothing is cloned under the lock.
+/// serializes the state in place, re-serializing only the cells folded
+/// since the previous snapshot: nothing is cloned under the lock.
 fn append_snapshot(g: &mut Shared) -> Result<(), String> {
     g.state.seq += 1;
+    let dirty: Vec<usize> = (0..g.dirty.len()).filter(|&c| g.dirty[c]).collect();
+    g.dirty.fill(false);
     g.journal
         .as_mut()
         .expect("journal checked")
-        .append(&g.state)
+        .append_cells(&g.state, &dirty)
 }
 
 /// State shared between workers through one mutex.
 struct Shared {
     state: SweepState,
     journal: Option<Journal>,
+    /// Cells folded since the last snapshot, marked under the same lock as
+    /// the fold.
+    dirty: Vec<bool>,
     /// Per-cell count of jobs still missing.
     cell_remaining: Vec<u64>,
     /// Jobs completed by this process.
@@ -148,6 +155,7 @@ pub fn run_sweep(
 
     let shared = Arc::new(Mutex::new(Shared {
         cell_remaining: cell_remaining(spec, &state),
+        dirty: vec![false; spec.cells()],
         state,
         journal,
         executed: 0,
@@ -174,6 +182,7 @@ pub fn run_sweep(
             let cell = spec_arc.cell_of(index);
             g.state.cells[cell].fold(&detail.summary, &detail.latency);
             g.state.completed.insert(index);
+            g.dirty[cell] = true;
             g.cell_remaining[cell] -= 1;
             if g.cell_remaining[cell] == 0 {
                 if let Some(cb) = &on_cell {
@@ -212,7 +221,8 @@ pub fn run_sweep(
     }
     let complete = g.state.completed.len() == total;
     // Terminal snapshot so a completed (or stopped) journal resumes exactly.
-    if g.journal.is_some() {
+    // A resume that ran nothing has its state on disk already.
+    if g.journal.is_some() && g.executed > 0 {
         append_snapshot(&mut g)?;
     }
     let cells = (0..spec.cells())

@@ -123,16 +123,21 @@ fn resuming_a_complete_journal_recomputes_nothing() {
     )
     .expect("sweep runs");
     assert!(first.report.complete);
+    let journal = std::fs::read(&ckpt).expect("read journal");
 
     let again = run_sweep(
         &fleet,
         &spec,
         SweepOptions {
-            checkpoint: Some(ckpt),
+            checkpoint: Some(ckpt.clone()),
             ..SweepOptions::default()
         },
     )
     .expect("no-op resume runs");
+    assert!(
+        std::fs::read(&ckpt).expect("read journal") == journal,
+        "a resume that runs nothing must write nothing"
+    );
     assert_eq!(
         again.executed_jobs, 0,
         "everything restored, nothing re-run"

@@ -48,9 +48,16 @@ impl BernoulliInjector {
 
     /// Number of packets generated at cycle `now` (0 or more — at most one
     /// per call for Bernoulli, but the API allows burstier processes).
-    /// `now` must be queried for every cycle in increasing order.
+    ///
+    /// Callers normally query every cycle in increasing order. A call that
+    /// skips cycles draws and discards the fires it missed, in order, so it
+    /// leaves the injector and `rng` as per-cycle calls would and fires at
+    /// `now` exactly when they would. A call at a cycle already queried
+    /// returns 0.
     pub fn fire(&mut self, now: Cycle, rng: &mut SimRng) -> u32 {
-        debug_assert!(now <= self.next_fire || self.rate == 0.0 || self.next_fire == Cycle::MAX);
+        while self.next_fire < now {
+            self.next_fire = self.next_fire.saturating_add(rng.geometric_gap(self.rate));
+        }
         if now != self.next_fire {
             return 0;
         }
@@ -162,6 +169,28 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn bernoulli_polled_with_gaps_matches_every_cycle_polling() {
+        let mut schedule_rng = SimRng::seed_from(9);
+        for &rate in &[1e-3, 0.05, 0.3, 0.999, 1.0] {
+            for seed in 0..20 {
+                let mut every_rng = SimRng::seed_from(seed);
+                let mut every = BernoulliInjector::new(rate, &mut every_rng);
+                let mut gappy_rng = SimRng::seed_from(seed);
+                let mut gappy = BernoulliInjector::new(rate, &mut gappy_rng);
+                let mut next_call = 0;
+                for t in 0..5_000 {
+                    let fired = every.fire(t, &mut every_rng);
+                    if t == next_call {
+                        assert_eq!(gappy.fire(t, &mut gappy_rng), fired, "rate {rate}, t {t}");
+                        assert_eq!(gappy.next_fire(), every.next_fire());
+                        next_call += 1 + schedule_rng.below(40);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
