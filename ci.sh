@@ -191,9 +191,9 @@ if [ "$DEEP" -eq 1 ]; then
   # `fairness` (~27 min at full fidelity) stays on the quick gate above.
   FULL_DIR=target/full-results
   rm -rf "$FULL_DIR" && mkdir -p "$FULL_DIR/results/json"
-  BIN_DIR=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
-  for bin in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience; do
-    (cd "$FULL_DIR" && "$BIN_DIR/$bin" --svg results --json results/json > "results/$bin.txt" 2>&1)
+  FIGURE=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/figure
+  for name in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience; do
+    (cd "$FULL_DIR" && "$FIGURE" "$name" --svg results --json results/json > "results/$name.txt" 2>&1)
   done
   diff -r -x quick -x README.md -x 'fairness*' results "$FULL_DIR/results"
   echo "results gate: every full-fidelity figure output is byte-identical"

@@ -3,35 +3,24 @@
 //! without scraping tables.
 
 use serde::Serialize;
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// Parse an optional `--json <dir>` argument from the process args.
-pub fn json_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 /// Serialize `value` to `<dir>/<name>.json` (pretty-printed, stable field
-/// order via serde derive ordering).
-pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
+/// order via serde derive ordering). An error names the file.
+pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Result<PathBuf> {
     let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)?;
-    std::fs::write(&path, json)?;
+    let write = || -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(&path, serde_json::to_string_pretty(value)?)
+    };
+    write().map_err(|e| writing(&path, e))?;
     Ok(path)
 }
 
-/// Write results if `--json` was passed; report the path on stdout.
-pub fn maybe_export<T: Serialize>(name: &str, value: &T) {
-    if let Some(dir) = json_dir_from_args() {
-        match write_json(&dir, name, value) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("json export failed: {e}"),
-        }
-    }
+/// `e` with the file it failed to write: `writing <path>: <e>`.
+pub(crate) fn writing(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("writing {}: {e}", path.display()))
 }
 
 #[cfg(test)]

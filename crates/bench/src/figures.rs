@@ -1,7 +1,7 @@
 //! The computations behind every figure/table harness.
 //!
-//! Each `figN` function returns structured data; the binaries print it and
-//! the integration tests assert the paper's qualitative claims on it.
+//! Each `figN` function returns structured data; the `figure` binary prints
+//! it and the integration tests assert the paper's qualitative claims on it.
 
 use pnoc_cmp::{workload::all_paper_workloads, CmpConfig, CmpSystem, IpcSummary};
 use pnoc_noc::fabric::Layer;
@@ -27,24 +27,16 @@ use serde::Serialize;
 pub const PAPER_SETASIDE: usize = 8;
 
 /// Fidelity of a harness run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fidelity {
     /// Short windows, thinned grids (CI smoke).
     Quick,
     /// The full experiment.
+    #[default]
     Full,
 }
 
 impl Fidelity {
-    /// Parse from process args (`--quick` selects [`Fidelity::Quick`]).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Fidelity::Quick
-        } else {
-            Fidelity::Full
-        }
-    }
-
     /// The measurement plan for this fidelity.
     pub fn plan(self) -> RunPlan {
         match self {

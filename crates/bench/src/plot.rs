@@ -1,8 +1,8 @@
 //! Minimal SVG line charts for the reproduced figures.
 //!
-//! The harness binaries can render each latency-vs-load figure to an SVG that
-//! mirrors the paper's presentation (y-axis clipped at 100 cycles, one series
-//! per scheme). Hand-rolled — no plotting dependency — and deliberately
+//! The `figure` harnesses can render each latency-vs-load figure to an SVG
+//! that mirrors the paper's presentation (y-axis clipped at 100 cycles, one
+//! series per scheme). Hand-rolled — no plotting dependency — and deliberately
 //! simple: polylines, ticks, a legend.
 
 use crate::figures::Curve;
@@ -24,6 +24,19 @@ pub struct PlotSpec {
     pub width: u32,
     /// Canvas height in px.
     pub height: u32,
+    /// What the y axis plots.
+    pub metric: Metric,
+}
+
+/// The run metric a chart plots on its y axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Mean latency; saturated points are drawn as a vertical run-off at the
+    /// clip line and end the series there (the paper's convention).
+    Latency,
+    /// Per-class Jain fairness. Saturated points still carry a meaningful
+    /// fairness value, so the series runs through them.
+    Jain,
 }
 
 impl PlotSpec {
@@ -36,6 +49,7 @@ impl PlotSpec {
             y_max: 100.0,
             width: 640,
             height: 420,
+            metric: Metric::Latency,
         }
     }
 
@@ -48,6 +62,7 @@ impl PlotSpec {
             y_max: 1.0,
             width: 640,
             height: 420,
+            metric: Metric::Jain,
         }
     }
 }
@@ -57,28 +72,13 @@ const COLORS: [&str; 8] = [
     "#1b6ca8", "#d1495b", "#66a182", "#edae49", "#8d5a97", "#00798c", "#d1903a", "#3d3d3d",
 ];
 
-/// Render `curves` (offered rate → latency; saturated points are drawn as a
-/// vertical run-off at the clip line) into an SVG document.
-pub fn render_latency_svg(spec: &PlotSpec, curves: &[Curve]) -> String {
-    render_metric_svg(spec, curves, &|s: &RunSummary| s.avg_latency, true)
-}
-
-/// Render per-class Jain fairness (y ∈ (0, 1]) vs load. Saturated points
-/// still carry a meaningful fairness value, so the series runs through them
-/// instead of cutting off at the clip line.
-pub fn render_jain_svg(spec: &PlotSpec, curves: &[Curve]) -> String {
-    render_metric_svg(spec, curves, &|s: &RunSummary| s.class_jain, false)
-}
-
-/// Shared chart body: `value` picks the y metric out of each point summary;
-/// `runoff` draws saturated points at the clip line and ends the series
-/// there (the paper's latency-plot convention).
-fn render_metric_svg(
-    spec: &PlotSpec,
-    curves: &[Curve],
-    value: &dyn Fn(&RunSummary) -> f64,
-    runoff: bool,
-) -> String {
+/// Render `curves` (one series per curve, x = offered rate, y = the spec's
+/// [`Metric`]) into an SVG document.
+pub fn render_svg(spec: &PlotSpec, curves: &[Curve]) -> String {
+    let (value, runoff): (fn(&RunSummary) -> f64, bool) = match spec.metric {
+        Metric::Latency => (|s| s.avg_latency, true),
+        Metric::Jain => (|s| s.class_jain, false),
+    };
     let margin_l = 64.0;
     let margin_r = 16.0;
     let margin_t = 36.0;
@@ -225,16 +225,18 @@ fn render_metric_svg(
     svg
 }
 
-/// Write each `(name, spec, curves)` chart into `dir` as `<name>.svg`.
+/// Write each `(name, spec, curves)` chart into `dir` as `<name>.svg`. An
+/// error names the file.
 pub fn write_charts(
     dir: &std::path::Path,
     charts: &[(String, PlotSpec, Vec<Curve>)],
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
     let mut out = Vec::new();
     for (name, spec, curves) in charts {
         let path = dir.join(format!("{name}.svg"));
-        std::fs::write(&path, render_latency_svg(spec, curves))?;
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, render_svg(spec, curves)))
+            .map_err(|e| crate::export::writing(&path, e))?;
         out.push(path);
     }
     Ok(out)
@@ -244,15 +246,6 @@ fn xml_escape(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")
-}
-
-/// Parse an optional `--svg <dir>` argument from the process args.
-pub fn svg_dir_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--svg")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
 }
 
 #[cfg(test)]
@@ -285,7 +278,7 @@ mod tests {
     #[test]
     fn svg_has_structure() {
         let spec = PlotSpec::latency("Fig. test");
-        let svg = render_latency_svg(&spec, &[curve()]);
+        let svg = render_svg(&spec, &[curve()]);
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>"));
         assert!(svg.contains("<polyline"));
@@ -299,7 +292,7 @@ mod tests {
     #[test]
     fn saturated_points_clip_at_y_max() {
         let spec = PlotSpec::latency("clip");
-        let svg = render_latency_svg(&spec, &[curve()]);
+        let svg = render_svg(&spec, &[curve()]);
         // y_of(100) for the saturated point = margin_t exactly (top of plot).
         assert!(svg.contains("cy=\"36.0\""), "saturated marker at clip line");
     }
@@ -322,9 +315,26 @@ mod tests {
     }
 
     #[test]
+    fn write_errors_name_the_file() {
+        // A directory below a regular file can never be created.
+        let file = std::env::temp_dir().join(format!("pnoc_plot_file_{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let dir = file.join("sub");
+        let charts = vec![(
+            "fig_unit".to_string(),
+            PlotSpec::latency("unit"),
+            vec![curve()],
+        )];
+        let msg = write_charts(&dir, &charts).unwrap_err().to_string();
+        let _ = std::fs::remove_file(&file);
+        let want = format!("writing {}: ", dir.join("fig_unit.svg").display());
+        assert!(msg.starts_with(&want), "{msg}");
+    }
+
+    #[test]
     fn empty_curves_render_axes_only() {
         let spec = PlotSpec::latency("empty");
-        let svg = render_latency_svg(&spec, &[]);
+        let svg = render_svg(&spec, &[]);
         assert!(svg.contains("<line"));
         assert!(!svg.contains("<polyline"));
     }

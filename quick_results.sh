@@ -1,9 +1,9 @@
 #!/bin/bash
 # Write the --quick output of the figure harnesses into DIR (default
-# results/quick): DIR/<bin>.txt holds the stdout and DIR/json/<bin>.json the
-# --json export. Each harness runs inside DIR with `--json json`, so the
-# `wrote json/<bin>.json` line is the same wherever DIR is and two runs can
-# be compared byte for byte.
+# results/quick): DIR/<name>.txt holds the stdout of `figure <name>` and
+# DIR/json/<name>.json its --json export. Each harness runs inside DIR with
+# `--json json`, so the `wrote json/<name>.json` line is the same wherever
+# DIR is and two runs can be compared byte for byte.
 #
 #   ./quick_results.sh [--deep] [DIR]
 #
@@ -15,11 +15,11 @@
 set -e
 cd "$(dirname "$0")"
 
-BINS="table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience"
+NAMES="table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience"
 DIR=results/quick
 for arg in "$@"; do
   case "$arg" in
-    --deep) BINS="$BINS fairness" ;;
+    --deep) NAMES="$NAMES fairness" ;;
     -*)
       echo "quick_results.sh: unknown argument '$arg' (supported: --deep, DIR)" >&2
       exit 2
@@ -28,9 +28,9 @@ for arg in "$@"; do
   esac
 done
 
-cargo build --release -q -p pnoc-bench --offline --bins
-BIN_DIR=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
+cargo build --release -q -p pnoc-bench --offline --bin figure
+FIGURE=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/figure
 mkdir -p "$DIR/json"
-for bin in $BINS; do
-  (cd "$DIR" && "$BIN_DIR/$bin" --quick --json json > "$bin.txt")
+for name in $NAMES; do
+  (cd "$DIR" && "$FIGURE" "$name" --quick --json json > "$name.txt")
 done
