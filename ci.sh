@@ -94,6 +94,12 @@ echo "== pnoc-oracle differential smoke (fuzz --quick) =="
 cargo run --release -q -p pnoc-oracle --offline --bin fuzz -- --quick
 cargo run --release -q -p pnoc-oracle --offline --bin fuzz -- --sabotage-check
 
+echo "== build pnoc (every pnoc-bench tool) =="
+# One binary holds the figure harnesses and the fleet, serve, obs, trace and
+# perf tools; every smoke below runs its subcommands.
+cargo build --release -q -p pnoc-bench --offline --bin pnoc
+PNOC=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/pnoc
+
 echo "== pnoc-fleet checkpoint/resume smoke (kill mid-flight, byte-identical) =="
 # The fleet engine's headline guarantee, exercised at the process level:
 # a sweep killed mid-flight (exit code 3) and resumed from its checkpoint
@@ -106,11 +112,9 @@ echo "== pnoc-fleet checkpoint/resume smoke (kill mid-flight, byte-identical) ==
 # snapshot.
 FLEET_DIR=target/fleet-smoke
 rm -rf "$FLEET_DIR" && mkdir -p "$FLEET_DIR"
-cargo run --release -q -p pnoc-bench --offline --bin fleet -- \
-  --out "$FLEET_DIR/ref.json"
+"$PNOC" fleet --out "$FLEET_DIR/ref.json"
 rc=0
-cargo run --release -q -p pnoc-bench --offline --bin fleet -- \
-  --ckpt "$FLEET_DIR/sweep.ckpt" --ckpt-every 4 --kill-after 9 \
+"$PNOC" fleet --ckpt "$FLEET_DIR/sweep.ckpt" --ckpt-every 4 --kill-after 9 \
   --out "$FLEET_DIR/never.json" || rc=$?
 if [ "$rc" -ne 3 ]; then
   echo "fleet smoke: expected kill exit code 3, got $rc" >&2
@@ -121,8 +125,7 @@ if [ -e "$FLEET_DIR/never.json" ]; then
   exit 1
 fi
 printf '{"seq":99,"completed":{"ranges":[{"lo":0,' >> "$FLEET_DIR/sweep.ckpt"
-cargo run --release -q -p pnoc-bench --offline --bin fleet -- \
-  --ckpt "$FLEET_DIR/sweep.ckpt" --ckpt-every 4 \
+"$PNOC" fleet --ckpt "$FLEET_DIR/sweep.ckpt" --ckpt-every 4 \
   --out "$FLEET_DIR/resumed.json"
 cmp "$FLEET_DIR/ref.json" "$FLEET_DIR/resumed.json"
 echo "fleet smoke: interrupted+resumed report (torn tail skipped) is byte-identical"
@@ -149,8 +152,7 @@ printf '%s\n' \
   '{"id":"overflow","sweep":{"base":"Small","schemes":["TokenSlot"],"patterns":["UniformRandom"],"rates":[0.05],"replicas":1,"master_seed":7,"warmup":18446744073709551615,"measure":200,"drain":50}}' \
   '{"id":"jobs","sweep":{"base":"Small","schemes":["TokenSlot","TokenChannel"],"patterns":["UniformRandom"],"rates":[0.05],"replicas":9223372036854775808,"master_seed":7,"warmup":50,"measure":200,"drain":50}}' \
   '{"shutdown":true}' \
-  | cargo run --release -q -p pnoc-bench --offline --bin serve \
-  > "$FLEET_DIR/serve.ndjson"
+  | "$PNOC" serve > "$FLEET_DIR/serve.ndjson"
 grep -q '"ok":true,"epoch":1,"ckpt_every":4' "$FLEET_DIR/serve.ndjson"
 grep -q '"done":true' "$FLEET_DIR/serve.ndjson"
 grep -q '"complete":true' "$FLEET_DIR/serve.ndjson"
@@ -191,9 +193,8 @@ if [ "$DEEP" -eq 1 ]; then
   # `fairness` (~27 min at full fidelity) stays on the quick gate above.
   FULL_DIR=target/full-results
   rm -rf "$FULL_DIR" && mkdir -p "$FULL_DIR/results/json"
-  FIGURE=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/figure
   for name in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience; do
-    (cd "$FULL_DIR" && "$FIGURE" "$name" --svg results --json results/json > "results/$name.txt" 2>&1)
+    (cd "$FULL_DIR" && "$PNOC" figure "$name" --svg results --json results/json > "results/$name.txt" 2>&1)
   done
   diff -r -x quick -x README.md -x 'fairness*' results "$FULL_DIR/results"
   echo "results gate: every full-fidelity figure output is byte-identical"
@@ -215,8 +216,7 @@ echo "== obs smoke =="
 # deliberately saturated run. (That attaching them never perturbs the run,
 # and that the trace agrees with the metrics counters, is pinned by
 # crates/noc/tests/obs_trace.rs in the workspace suite above.)
-cargo run --release -q -p pnoc-bench --offline --bin obs -- \
-  --quick --out target/obs-smoke
+"$PNOC" obs --quick --out target/obs-smoke
 
 echo "== trace gate (PTRC round-trip, corruption fuzz, replay pin, RSS smoke) =="
 # The streaming-trace subsystem's correctness contract (DESIGN.md §17):
@@ -224,8 +224,8 @@ echo "== trace gate (PTRC round-trip, corruption fuzz, replay pin, RSS smoke) ==
 #     every single-byte flip / truncation / chunk reorder rejected as
 #     InvalidData with no phantom events, and the frozen golden.ptrc
 #     fixture still byte-exact;
-#  2. record→replay on the shipped binary: `trace record` a live run,
-#     `trace replay` the file, require byte-identical summary JSON (the
+#  2. record→replay on the shipped binary: `pnoc trace record` a live run,
+#     `pnoc trace replay` the file, require byte-identical summary JSON (the
 #     per-scheme replay pin, fault schedules included, is
 #     tests/replay_identical.rs in the workspace suite above);
 #  3. bounded-memory smoke: generate a multi-chunk trace with the
@@ -235,19 +235,15 @@ echo "== trace gate (PTRC round-trip, corruption fuzz, replay pin, RSS smoke) ==
 cargo test -q -p pnoc-trace --offline
 TRACE_DIR=target/trace-smoke
 rm -rf "$TRACE_DIR" && mkdir -p "$TRACE_DIR"
-cargo run --release -q -p pnoc-bench --offline --bin trace -- \
-  record --quick --scheme dhs-setaside --out "$TRACE_DIR/recorded.ptrc" \
+"$PNOC" trace record --quick --scheme dhs-setaside --out "$TRACE_DIR/recorded.ptrc" \
   | sed -n 's/^recorded .*; summary: //p' > "$TRACE_DIR/recorded.json"
-cargo run --release -q -p pnoc-bench --offline --bin trace -- \
-  replay "$TRACE_DIR/recorded.ptrc" --quick --scheme dhs-setaside \
+"$PNOC" trace replay "$TRACE_DIR/recorded.ptrc" --quick --scheme dhs-setaside \
   > "$TRACE_DIR/replayed.json"
 test -s "$TRACE_DIR/recorded.json"
 cmp "$TRACE_DIR/recorded.json" "$TRACE_DIR/replayed.json"
-cargo run --release -q -p pnoc-bench --offline --bin trace -- \
-  gen --app nas.is --cores 256 --nodes 64 --length 60000 --seed 7 \
+"$PNOC" trace gen --app nas.is --cores 256 --nodes 64 --length 60000 --seed 7 \
   --out "$TRACE_DIR/smoke.ptrc"
-cargo run --release -q -p pnoc-bench --offline --bin trace -- \
-  ingest "$TRACE_DIR/smoke.ptrc" --max-rss-mb 64
+"$PNOC" trace ingest "$TRACE_DIR/smoke.ptrc" --max-rss-mb 64
 echo "trace gate: format, replay, and bounded-memory ingestion hold"
 
 echo "== trace-ingestion baseline (quick vs BENCH_trace.json) =="
@@ -256,11 +252,9 @@ echo "== trace-ingestion baseline (quick vs BENCH_trace.json) =="
 # ingest, CRC checked) throughput at reduced length and fail if either
 # dropped more than the tolerance in pnoc_bench::trace_bench against the
 # checked-in BENCH_trace.json. Same baseline bookkeeping as BENCH_perf:
-# refresh deliberately with `cargo run --release -p pnoc-bench --bin trace
-# -- bench --quick --json BENCH_trace.json`; BENCH_trace.ci.json is
-# gitignored per-run scratch.
-cargo run --release -q -p pnoc-bench --offline --bin trace -- \
-  bench --quick --json BENCH_trace.ci.json --check BENCH_trace.json
+# refresh deliberately with `pnoc trace bench --quick --json
+# BENCH_trace.json`; BENCH_trace.ci.json is gitignored per-run scratch.
+"$PNOC" trace bench --quick --json BENCH_trace.ci.json --check BENCH_trace.json
 
 echo "== perf baseline (quick sweep vs BENCH_perf.json) =="
 # Simulator-throughput regression gate: re-measure the 64-node sweep at
@@ -270,17 +264,15 @@ echo "== perf baseline (quick sweep vs BENCH_perf.json) =="
 #
 # Baseline bookkeeping — there is exactly ONE checked-in baseline:
 #   BENCH_perf.json     the committed reference, refreshed deliberately via
-#                       `cargo run --release -p pnoc-bench --bin perf --
-#                        --quick --json BENCH_perf.json` when a PR
-#                       intentionally shifts throughput.
+#                       `pnoc perf --quick --json BENCH_perf.json` when a
+#                       PR intentionally shifts throughput.
 #   BENCH_perf.ci.json  gitignored per-run scratch output, written below so
 #                       a failing gate leaves the fresh numbers on disk for
 #                       inspection. Never commit it; a stray copy in the
 #                       repo root is stale garbage and should be deleted.
 # The observation hooks are compiled in and detached here, as in every
 # build: their detached branches must keep throughput inside the tolerance.
-cargo run --release -q -p pnoc-bench --offline --bin perf -- \
-  --quick --json BENCH_perf.ci.json --check BENCH_perf.json
+"$PNOC" perf --quick --json BENCH_perf.ci.json --check BENCH_perf.json
 
 if [ "$DEEP" -eq 1 ]; then
   echo "== pnoc-oracle deep fuzz (${PNOC_FUZZ_CASES:-10000} cases) =="
@@ -291,13 +283,12 @@ if [ "$DEEP" -eq 1 ]; then
   cargo run --release -q -p pnoc-oracle --offline --bin fuzz -- \
     --cases "${PNOC_FUZZ_CASES:-10000}"
 
-  echo "== multi-tenant QoS sweep sample (fleet --qos) =="
+  echo "== multi-tenant QoS sweep sample (pnoc fleet --qos) =="
   # The built-in QoS demo: every tenant mix crossed with the demo grid
   # under token-bucket admission. Checks the tenant axis end to end —
   # spec decomposition, classed sources, admission in the arbiters, and
   # the per-class fairness column in the streamed report.
-  cargo run --release -q -p pnoc-bench --offline --bin fleet -- \
-    --qos --out "$FLEET_DIR/qos.json"
+  "$PNOC" fleet --qos --out "$FLEET_DIR/qos.json"
   grep -q '"mix": "EM"' "$FLEET_DIR/qos.json"
   grep -q '"mix": "HT"' "$FLEET_DIR/qos.json"
   grep -q '"class_jain"' "$FLEET_DIR/qos.json"

@@ -10,16 +10,25 @@ use std::path::{Path, PathBuf};
 /// order via serde derive ordering). An error names the file.
 pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Result<PathBuf> {
     let path = dir.join(format!("{name}.json"));
-    let write = || -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(&path, serde_json::to_string_pretty(value)?)
-    };
-    write().map_err(|e| writing(&path, e))?;
+    let body = serde_json::to_string_pretty(value).map_err(|e| writing(&path, e.into()))?;
+    write_file(&path, body)?;
     Ok(path)
 }
 
+/// Write `contents` to `path`, creating its directory first. An error names
+/// the file.
+pub fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    let write = || -> io::Result<()> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, contents)
+    };
+    write().map_err(|e| writing(path, e))
+}
+
 /// `e` with the file it failed to write: `writing <path>: <e>`.
-pub(crate) fn writing(path: &Path, e: io::Error) -> io::Error {
+fn writing(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("writing {}: {e}", path.display()))
 }
 

@@ -1,6 +1,6 @@
 //! The computations behind every figure/table harness.
 //!
-//! Each `figN` function returns structured data; the `figure` binary prints
+//! Each `figN` function returns structured data; `pnoc figure` prints
 //! it and the integration tests assert the paper's qualitative claims on it.
 
 use pnoc_cmp::{workload::all_paper_workloads, CmpConfig, CmpSystem, IpcSummary};

@@ -1,8 +1,8 @@
 //! # pnoc-bench — paper-reproduction harnesses
 //!
-//! One binary, `figure`, runs every table/figure harness by name (run with
-//! `--release`): `figure <name> [--quick] [--svg DIR] [--json DIR]
-//! [--threads N]`.
+//! One binary, `pnoc`, holds every tool (run with `--release`). `pnoc
+//! figure <name> [--quick] [--svg DIR] [--json DIR] [--threads N]` runs a
+//! table/figure harness by name:
 //!
 //! | Name        | Reproduces | Content |
 //! |-------------|-----------|---------|
@@ -25,9 +25,10 @@
 //! experiment. `--svg <dir>` renders charts via [`plot`] and `--json <dir>`
 //! writes structured results via [`export`]. The computation lives in
 //! [`figures`] so integration tests can assert the paper's qualitative
-//! claims on the same code the harnesses print from. The other binaries
-//! (`fleet`, `serve`, `obs`, `trace`, `perf`) are tools with their own
-//! command lines.
+//! claims on the same code the harnesses print from. The other
+//! subcommands are tools: `pnoc fleet` runs a sweep, `pnoc serve` answers
+//! NDJSON sweep requests, `pnoc obs` runs the observability demo, `pnoc
+//! trace` handles PTRC traces and `pnoc perf` is the throughput gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,37 +53,10 @@ pub use table::Table;
 ///
 /// Created lazily on first use with the default thread policy (`--threads`
 /// override > `PNOC_THREADS` > detected parallelism, cgroup-quota-aware —
-/// see [`pnoc_sim::sweep::default_threads`]). Binaries that accept
-/// `--threads` must install it *before* the first sweep so the override is
+/// see [`pnoc_sim::sweep::default_threads`]). `pnoc` installs its
+/// `--threads` count *before* a subcommand runs, so the override is
 /// visible when the fleet spins up.
 pub fn fleet() -> &'static Fleet {
     static FLEET: OnceLock<Fleet> = OnceLock::new();
     FLEET.get_or_init(Fleet::with_default_threads)
-}
-
-/// Validate a `--threads` value: a positive integer. `None` is the flag
-/// given without a value.
-pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
-    let v = value.ok_or("--threads requires a positive integer")?;
-    let n: usize = v
-        .parse()
-        .map_err(|_| format!("--threads: invalid count {v:?}"))?;
-    if n == 0 {
-        return Err("--threads must be ≥ 1".into());
-    }
-    Ok(n)
-}
-
-/// Parse a `--threads N` flag from the process args and install it as the
-/// global thread override (see [`pnoc_sim::sweep::set_thread_override`]).
-/// Returns an error string for a malformed or missing value.
-pub fn apply_thread_flag() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--threads" {
-            let n = parse_threads(args.get(i + 1).map(String::as_str))?;
-            pnoc_sim::sweep::set_thread_override(n);
-        }
-    }
-    Ok(())
 }

@@ -10,7 +10,7 @@
 //! made the simulator slower, regardless of what it did to modelled
 //! latency.
 //!
-//! The `perf` binary emits the report as `BENCH_perf.json` (schema
+//! `pnoc perf` emits the report as `BENCH_perf.json` (schema
 //! [`SCHEMA`]); `ci.sh` reruns the sweep in `--quick` mode and fails if
 //! aggregate throughput regresses more than [`REGRESSION_TOLERANCE`]
 //! against the checked-in baseline. Each scheme's sweep runs twice and the

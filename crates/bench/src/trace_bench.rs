@@ -9,7 +9,7 @@
 //! loops, not the simulator: a regression here means trace replay got
 //! slower at feeding the network.
 //!
-//! The `trace` binary emits the report as `BENCH_trace.json` (schema
+//! `pnoc trace bench` emits the report as `BENCH_trace.json` (schema
 //! [`SCHEMA`]); `ci.sh` reruns the measurement in `--quick` mode and fails
 //! if ingestion throughput regresses more than [`REGRESSION_TOLERANCE`]
 //! against the checked-in baseline. Each timed pass runs twice and the

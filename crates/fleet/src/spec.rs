@@ -60,7 +60,7 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// A small built-in sweep used by the `fleet` bin and CI smoke: 3
+    /// A small built-in sweep used by `pnoc fleet` and the CI smoke: 3
     /// schemes × 1 pattern × 4 rates × 2 replicas = 24 jobs on the small
     /// network with the quick plan.
     pub fn demo() -> Self {

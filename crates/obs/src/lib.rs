@@ -36,7 +36,6 @@
 pub mod event;
 pub mod latency;
 pub mod sampler;
-pub mod svg;
 pub mod trace;
 
 pub use event::{Event, EventKind, NO_PACKET};

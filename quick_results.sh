@@ -1,6 +1,6 @@
 #!/bin/bash
 # Write the --quick output of the figure harnesses into DIR (default
-# results/quick): DIR/<name>.txt holds the stdout of `figure <name>` and
+# results/quick): DIR/<name>.txt holds the stdout of `pnoc figure <name>` and
 # DIR/json/<name>.json its --json export. Each harness runs inside DIR with
 # `--json json`, so the `wrote json/<name>.json` line is the same wherever
 # DIR is and two runs can be compared byte for byte.
@@ -28,9 +28,9 @@ for arg in "$@"; do
   esac
 done
 
-cargo build --release -q -p pnoc-bench --offline --bin figure
-FIGURE=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/figure
+cargo build --release -q -p pnoc-bench --offline --bin pnoc
+PNOC=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/pnoc
 mkdir -p "$DIR/json"
 for name in $NAMES; do
-  (cd "$DIR" && "$FIGURE" "$name" --quick --json json > "$name.txt")
+  (cd "$DIR" && "$PNOC" figure "$name" --quick --json json > "$name.txt")
 done

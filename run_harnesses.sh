@@ -4,11 +4,12 @@
 # fails and exits with its status.
 cd "$(dirname "$0")"
 ./ci.sh || exit 1
-FIGURE="${CARGO_TARGET_DIR:-target}/release/figure"
+# ci.sh has built pnoc.
+PNOC="${CARGO_TARGET_DIR:-target}/release/pnoc"
 mkdir -p results results/json
 for name in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience fairness; do
   echo "== running $name =="
-  "$FIGURE" "$name" --svg results --json results/json > "results/$name.txt" 2>&1
+  "$PNOC" figure "$name" --svg results --json results/json > "results/$name.txt" 2>&1
   rc=$?
   if [ "$rc" -ne 0 ]; then
     echo "== $name failed rc=$rc (output in results/$name.txt) ==" >&2
