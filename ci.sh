@@ -6,8 +6,7 @@ set -e
 cd "$(dirname "$0")"
 
 # --deep: append the pre-merge deep-fuzz job (10k differential cases unless
-# PNOC_FUZZ_CASES says otherwise) after the standard gate, add the
-# ~100 s `fairness` harness to the quick results gate, and compare the
+# PNOC_FUZZ_CASES says otherwise) after the standard gate, and compare the
 # full-fidelity results/ outputs with a fresh run. The default quick gate is
 # unchanged; see EXPERIMENTS.md "Pre-merge deep fuzz" for when a PR must run
 # this.
@@ -171,17 +170,11 @@ echo "== results gate (quick figure outputs vs results/quick) =="
 # and compare them byte for byte with the copies checked in under
 # results/quick/. A change that moves a figure fails here; a change meant
 # to move one regenerates results/quick/ and says why (EXPERIMENTS.md
-# "Refreshing golden values"). `fairness` (~100 s) is compared under --deep
-# only.
+# "Refreshing the quick figure outputs").
 QUICK_DIR=target/quick-results
 rm -rf "$QUICK_DIR"
-if [ "$DEEP" -eq 1 ]; then
-  ./quick_results.sh --deep "$QUICK_DIR"
-  diff -r results/quick "$QUICK_DIR"
-else
-  ./quick_results.sh "$QUICK_DIR"
-  diff -r -x 'fairness.*' results/quick "$QUICK_DIR"
-fi
+./quick_results.sh "$QUICK_DIR"
+diff -r results/quick "$QUICK_DIR"
 echo "results gate: every quick figure output is byte-identical"
 
 if [ "$DEEP" -eq 1 ]; then
@@ -190,13 +183,12 @@ if [ "$DEEP" -eq 1 ]; then
   # run_harnesses.sh's flags, inside a scratch directory laid out like the
   # repo (so the `wrote results/...` lines match), and diff the tree
   # against results/: a changed, missing or extra .txt, SVG or JSON fails.
-  # `fairness` (~27 min at full fidelity) stays on the quick gate above.
   FULL_DIR=target/full-results
   rm -rf "$FULL_DIR" && mkdir -p "$FULL_DIR/results/json"
-  for name in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience; do
+  for name in table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience fairness; do
     (cd "$FULL_DIR" && "$PNOC" figure "$name" --svg results --json results/json > "results/$name.txt" 2>&1)
   done
-  diff -r -x quick -x README.md -x 'fairness*' results "$FULL_DIR/results"
+  diff -r -x quick -x README.md results "$FULL_DIR/results"
   echo "results gate: every full-fidelity figure output is byte-identical"
 fi
 

@@ -21,7 +21,9 @@
 //! the JSON is a [`pnoc_fleet::ReplaySpec`] naming PTRC shards, every
 //! (scheme, shard) pair replays as one fleet job, and the output is the
 //! deterministic [`pnoc_fleet::ReplayReport`]. Replay sweeps are
-//! recompute-cheap (streamed from disk), so they have no checkpoint path.
+//! recompute-cheap (streamed from disk), so they have no checkpoint path
+//! and no per-cell callback: `--replay` refuses the checkpoint flags and
+//! `--verbose`.
 
 use std::error::Error;
 use std::io::Read;
@@ -43,24 +45,22 @@ pub struct Opts {
     replay: Option<String>,
     out: Option<String>,
     ckpt: Option<PathBuf>,
-    ckpt_every: u64,
+    /// `None` unless given, so `--replay` can refuse it; runs use 8.
+    ckpt_every: Option<u64>,
     kill_after: Option<u64>,
     verbose: bool,
 }
 
 /// Parse the arguments after `fleet`, refusing flags that conflict.
 pub fn parse(args: &mut Args) -> Result<Opts, String> {
-    let mut o = Opts {
-        ckpt_every: 8,
-        ..Opts::default()
-    };
+    let mut o = Opts::default();
     while let Some(arg) = args.next()? {
         match arg.as_str() {
             "--spec" => o.spec = Some(args.value(&arg)?),
             "--replay" => o.replay = Some(args.value(&arg)?),
             "--out" => o.out = Some(args.value(&arg)?),
             "--ckpt" => o.ckpt = Some(args.value(&arg)?.into()),
-            "--ckpt-every" => o.ckpt_every = args.num(&arg)?,
+            "--ckpt-every" => o.ckpt_every = Some(args.num(&arg)?),
             "--kill-after" => o.kill_after = Some(args.num(&arg)?),
             "--verbose" => o.verbose = true,
             "--qos" => o.qos = true,
@@ -68,9 +68,16 @@ pub fn parse(args: &mut Args) -> Result<Opts, String> {
         }
     }
     if o.replay.is_some()
-        && (o.spec.is_some() || o.qos || o.ckpt.is_some() || o.kill_after.is_some())
+        && (o.spec.is_some()
+            || o.qos
+            || o.ckpt.is_some()
+            || o.ckpt_every.is_some()
+            || o.kill_after.is_some()
+            || o.verbose)
     {
-        return Err("--replay is its own job kind; drop --spec/--qos/--ckpt/--kill-after".into());
+        return Err("--replay is its own job kind; \
+             drop --spec/--qos/--ckpt/--ckpt-every/--kill-after/--verbose"
+            .into());
     }
     if o.qos && o.spec.is_some() {
         return Err(
@@ -90,7 +97,7 @@ pub fn run(o: Opts) -> Result<(), Box<dyn Error>> {
     let spec = load_spec(o.spec.as_deref(), o.qos)?;
     let mut opts = SweepOptions {
         checkpoint: o.ckpt,
-        ckpt_every: o.ckpt_every,
+        ckpt_every: o.ckpt_every.unwrap_or(8),
         kill_after: o.kill_after,
         ..SweepOptions::default()
     };

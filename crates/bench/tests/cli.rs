@@ -180,6 +180,8 @@ fn malformed_tool_command_lines_exit_2_and_write_nothing() {
         (&["fleet", "--ckpt-every", "x"], ""),
         (&["fleet", "--kill-after", "1"], ""),
         (&["fleet", "--replay", "r.json", "--qos"], ""),
+        (&["fleet", "--replay", "r.json", "--verbose"], ""),
+        (&["fleet", "--replay", "r.json", "--ckpt-every", "8"], ""),
         (&["fleet", "--qos", "--spec", "s.json"], ""),
         (&["perf", "--bogus"], ""),
         (&["perf", "--check"], ""),

@@ -205,11 +205,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             arbiter,
             flow,
             queued_total: 0,
-            planes: if cfg.admission.enabled() {
-                Planes::with_classes(cfg.nodes - 1)
-            } else {
-                Planes::new(cfg.nodes - 1)
-            },
+            planes: Planes::new(cfg.nodes - 1),
             suppress_token: false,
             admission: AdmissionCtl::from_policy(&cfg.admission),
             served_by_sender: vec![0; cfg.nodes],
@@ -754,41 +750,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
                     ));
                 }
             }
-            // Per-class views (admission only): head-class predicates must
-            // partition the parent plane, and backlog bits must match the
-            // queue's class mask.
-            if let Some(cp) = self.planes.classes.as_deref() {
-                let head = q.head_class();
-                let mask = q.class_backlog_mask();
-                for c in 0..pnoc_traffic::MAX_CLASSES {
-                    let is_head = head == Some(u8::try_from(c).unwrap_or(u8::MAX));
-                    let class_checks = [
-                        (
-                            "class-sendable",
-                            cp.sendable[c].get(d),
-                            q.sendable() > 0 && is_head,
-                        ),
-                        (
-                            "class-granted",
-                            cp.granted[c].get(d),
-                            q.granted() > 0 && is_head,
-                        ),
-                        (
-                            "class-backlogged",
-                            cp.backlogged[c].get(d),
-                            mask & (1 << c) != 0,
-                        ),
-                    ];
-                    for (plane, got, want) in class_checks {
-                        if got != want {
-                            return Err(format!(
-                                "{plane} plane drifted at distance {d} (node {n}) \
-                                 class {c}: plane {got}, queue {want}"
-                            ));
-                        }
-                    }
-                }
-            }
         }
         // Admission buckets can never exceed their burst capacity.
         if let Some(ctl) = &self.admission {
@@ -864,14 +825,8 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         if let Some(ctl) = &self.admission {
             out.admission_period = ctl.period();
             out.class_granted = ctl.granted_by_class;
-            for q in &self.senders {
-                let mask = q.class_backlog_mask();
-                for c in 0..pnoc_traffic::MAX_CLASSES {
-                    if mask & (1 << c) != 0 {
-                        out.class_backlog[c] +=
-                            q.iter_queue().filter(|p| usize::from(p.class) == c).count();
-                    }
-                }
+            for p in self.senders.iter().flat_map(OutQueue::iter_queue) {
+                out.class_backlog[usize::from(p.class)] += 1;
             }
         } else {
             out.admission_period = 0;
@@ -1455,5 +1410,54 @@ mod tests {
             assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
             assert_eq!(view.pending_acks, fresh.pending_acks);
         });
+    }
+
+    #[test]
+    fn class_backlog_counts_each_queued_packet_by_its_own_class() {
+        let class_of = |id: u64| u8::try_from(id % 3).unwrap();
+        let bucket = crate::config::AdmissionPolicy::TokenBucket {
+            period: 4,
+            refill: [1; pnoc_traffic::MAX_CLASSES],
+            burst: [2; pnoc_traffic::MAX_CLASSES],
+        };
+        for setaside in [0, 2] {
+            for admission in [bucket, crate::config::AdmissionPolicy::None] {
+                let mut config = cfg(Scheme::Dhs { setaside });
+                config.admission = admission;
+                let view = with_channel!(0, &config, |ch| {
+                    // Senders 4, 9 and 12 queue four, five and six packets
+                    // of mixed classes; a few cycles send some of them.
+                    for id in 0..15 {
+                        let src = match id {
+                            0..4 => 4,
+                            4..9 => 9,
+                            _ => 12,
+                        };
+                        ch.enqueue(Packet {
+                            class: class_of(id),
+                            ..pkt(id, src, 0, 0)
+                        });
+                    }
+                    run(&mut ch, &mut NetworkMetrics::new(), &mut Vec::new(), 0, 6);
+                    let mut view = crate::audit::ChannelAuditView::default();
+                    ch.audit_view_into(&mut view);
+                    view
+                });
+                let what = format!("setaside {setaside}, {admission:?}");
+                // A pending head (HoldHead) or a set-aside copy (Setaside)
+                // awaits its verdict; only the former is still queued, and
+                // no packet has left both places yet.
+                assert!(!view.unresolved_ids.is_empty(), "{what}: nothing sent");
+                assert_eq!(view.setaside_ids.is_empty(), setaside == 0, "{what}");
+                assert_eq!(view.queue_ids.len() + view.setaside_ids.len(), 15);
+                let mut want = [0; pnoc_traffic::MAX_CLASSES];
+                if admission.enabled() {
+                    for &id in &view.queue_ids {
+                        want[usize::from(class_of(id))] += 1;
+                    }
+                }
+                assert_eq!(view.class_backlog, want, "{what}");
+            }
+        }
     }
 }

@@ -385,17 +385,6 @@ impl<T: QueueItem> OutQueue<T> {
         self.queue.front().map(QueueItem::class)
     }
 
-    /// Bit-mask over [`pnoc_traffic::MAX_CLASSES`] of the classes present
-    /// anywhere in the queue (including a pending head). Feeds the
-    /// per-class backlogged bit-planes; only computed when `QoS` is active.
-    pub fn class_backlog_mask(&self) -> u8 {
-        let mut mask = 0u8;
-        for p in &self.queue {
-            mask |= 1 << p.class();
-        }
-        mask
-    }
-
     /// Fairness bookkeeping `(consecutive_serves, sit_until)`, for canonical
     /// state-keying.
     pub fn fairness_state(&self) -> (u32, Cycle) {

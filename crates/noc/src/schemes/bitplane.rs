@@ -242,61 +242,6 @@ impl Iterator for AndIter<'_> {
     }
 }
 
-/// Per-class views of the channel's predicate planes, maintained only when
-/// admission control (`QoS`) is configured. Each class `c` gets:
-///
-/// * `sendable[c]` — the sender is sendable *and* its head packet belongs
-///   to class `c` (the grant an admission bucket would pay for),
-/// * `granted[c]` — the sender holds a grant and its head is class `c`,
-/// * `backlogged[c]` — the sender's queue contains *any* class-`c` packet
-///   (from [`crate::outqueue::OutQueue::class_backlog_mask`]) — the
-///   starvation audit's "class is waiting" predicate.
-///
-/// Head-class predicates partition their parent plane: each distance is set
-/// in at most one class's `sendable`/`granted` view, and the union over
-/// classes equals the parent bit exactly
-/// ([`crate::channel::Channel::try_check_invariants`] cross-checks this).
-#[derive(Debug, Clone)]
-pub struct ClassPlanes {
-    /// Sendable with a class-`c` head, per class.
-    pub sendable: [BitPlane; crate::MAX_CLASSES],
-    /// Granted with a class-`c` head, per class.
-    pub granted: [BitPlane; crate::MAX_CLASSES],
-    /// Any class-`c` packet queued, per class.
-    pub backlogged: [BitPlane; crate::MAX_CLASSES],
-}
-
-impl ClassPlanes {
-    /// Empty per-class planes over `len` distances.
-    pub fn new(len: usize) -> Self {
-        Self {
-            sendable: std::array::from_fn(|_| BitPlane::new(len)),
-            granted: std::array::from_fn(|_| BitPlane::new(len)),
-            backlogged: std::array::from_fn(|_| BitPlane::new(len)),
-        }
-    }
-
-    /// Re-derive every class's bits for distance `d` from the queue's
-    /// scalar state (same exactness contract as [`Planes::refresh`]).
-    #[inline]
-    pub fn refresh<T: crate::outqueue::QueueItem>(
-        &mut self,
-        d: usize,
-        q: &crate::outqueue::OutQueue<T>,
-    ) {
-        let head = q.head_class();
-        let sendable = q.sendable() > 0;
-        let granted = q.granted() > 0;
-        let mask = q.class_backlog_mask();
-        for c in 0..crate::MAX_CLASSES {
-            let is_head = head.map(usize::from) == Some(c);
-            self.sendable[c].set(d, sendable && is_head);
-            self.granted[c].set(d, granted && is_head);
-            self.backlogged[c].set(d, mask & (1 << c) != 0);
-        }
-    }
-}
-
 /// The channel's bundle of per-node predicate planes, all indexed by
 /// downstream distance (see module docs for the predicate each mirrors).
 #[derive(Debug, Clone)]
@@ -309,28 +254,17 @@ pub struct Planes {
     pub backlogged: BitPlane,
     /// Pending held head or occupied setaside — copies awaiting a verdict.
     pub unresolved: BitPlane,
-    /// Per-class views, allocated only when admission control is on. `None`
-    /// keeps the `QoS`-off refresh path identical to the pre-`QoS` kernel.
-    pub classes: Option<Box<ClassPlanes>>,
 }
 
 impl Planes {
-    /// Empty planes over `len` distances, without per-class views.
+    /// Empty planes over `len` distances.
     pub fn new(len: usize) -> Self {
         Self {
             sendable: BitPlane::new(len),
             granted: BitPlane::new(len),
             backlogged: BitPlane::new(len),
             unresolved: BitPlane::new(len),
-            classes: None,
         }
-    }
-
-    /// Empty planes with per-class views enabled (admission control on).
-    pub fn with_classes(len: usize) -> Self {
-        let mut p = Self::new(len);
-        p.classes = Some(Box::new(ClassPlanes::new(len)));
-        p
     }
 
     /// Re-derive every plane's bit for distance `d` from the queue's scalar
@@ -346,9 +280,6 @@ impl Planes {
         self.granted.set(d, q.granted() > 0);
         self.backlogged.set(d, q.backlog() > 0);
         self.unresolved.set(d, q.unresolved_len() > 0);
-        if let Some(cp) = self.classes.as_deref_mut() {
-            cp.refresh(d, q);
-        }
     }
 }
 

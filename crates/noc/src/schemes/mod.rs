@@ -39,7 +39,7 @@ pub mod flow;
 
 pub use admission::AdmissionCtl;
 pub use arbiter::{Arbiter, DistributedArbiter, GlobalArbiter, GlobalTokenState, TokenCx};
-pub use bitplane::{BitPlane, ClassPlanes, Planes, SortedIdSet};
+pub use bitplane::{BitPlane, Planes, SortedIdSet};
 pub use flow::{AckEvent, ArrivalCx, CirculationFlow, CreditFlow, Flow, HandshakeFlow, SlotFlow};
 
 use crate::config::NetworkConfig;

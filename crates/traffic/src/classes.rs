@@ -20,9 +20,9 @@ use serde::{Deserialize, Serialize};
 /// simulator can keep per-class state in fixed arrays ([`MAX_CLASSES`]).
 pub type ClassId = u8;
 
-/// Number of traffic classes the simulator supports. Per-class bit-planes,
-/// admission buckets, and latency recorders are all sized by this, so it is
-/// deliberately small; raise it only with the hot-path cost in mind.
+/// Number of traffic classes the simulator supports. Admission buckets and
+/// latency recorders are sized by this, so it is deliberately small; raise
+/// it only with the hot-path cost in mind.
 pub const MAX_CLASSES: usize = 4;
 
 /// A deterministic on/off duty cycle: the tenant injects only during the

@@ -5,23 +5,20 @@
 # `--json json`, so the `wrote json/<name>.json` line is the same wherever
 # DIR is and two runs can be compared byte for byte.
 #
-#   ./quick_results.sh [--deep] [DIR]
+#   ./quick_results.sh [DIR]
 #
-# The default set is every figure harness except `fairness`, whose quick pass
-# takes ~100 s; --deep adds it. results/quick/ is the checked-in reference
-# (written with --deep); ci.sh regenerates into a scratch DIR and cmps each
-# file against it. See EXPERIMENTS.md "Refreshing the quick figure
-# outputs".
+# It runs all 13 figure harnesses. results/quick/ is the checked-in
+# reference; ci.sh regenerates into a scratch DIR and diffs it against that
+# tree. See EXPERIMENTS.md "Refreshing the quick figure outputs".
 set -e
 cd "$(dirname "$0")"
 
-NAMES="table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience"
+NAMES="table1 fig12 fig2b fig8 fig9 fig10 ipc ablations swmr mesh_vs_ring fig11 resilience fairness"
 DIR=results/quick
 for arg in "$@"; do
   case "$arg" in
-    --deep) NAMES="$NAMES fairness" ;;
     -*)
-      echo "quick_results.sh: unknown argument '$arg' (supported: --deep, DIR)" >&2
+      echo "quick_results.sh: unknown argument '$arg' (supported: DIR)" >&2
       exit 2
       ;;
     *) DIR="$arg" ;;
