@@ -24,23 +24,20 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --all-targets --offline -- -D warnings
-
-echo "== cargo clippy pedantic (pnoc-noc) =="
+echo "== cargo clippy (deny warnings; pedantic in pnoc-noc and pnoc-fleet) =="
 # The simulator core is held to a stricter bar than the rest of the
 # workspace: crates/noc/src/lib.rs enables clippy::pedantic crate-wide
 # (with a short, justified allow list), and -D warnings makes every
-# pedantic finding an error here. The attribute lives in the crate rather
-# than on this command line so the vendored path dependencies are not
-# swept into the stricter lint set.
-cargo clippy -p pnoc-noc --all-targets --offline -- -D warnings
+# pedantic finding an error here. The fleet layer gets the same pedantic
+# treatment (crate-level attribute in crates/fleet/src/lib.rs). The
+# attributes live in the crates rather than on this command line so the
+# vendored path dependencies are not swept into the stricter lint set, and
+# this one workspace pass enforces them.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== cargo clippy pedantic (pnoc-fleet) =="
-# The fleet layer gets the same pedantic treatment as the simulator core
-# (crate-level attribute in crates/fleet/src/lib.rs), in both the normal
-# build and the model-sync build so the model checker itself is held to it.
-cargo clippy -p pnoc-fleet --all-targets --offline -- -D warnings
+echo "== cargo clippy pedantic (pnoc-fleet, model-sync build) =="
+# The model-sync build compiles the fleet against the model scheduler, so
+# the model checker itself is held to the pedantic bar too.
 cargo clippy -p pnoc-fleet --all-targets --features model-sync --offline -- -D warnings
 
 echo "== pnoc-verify (lints + model check + invariant audit) =="

@@ -315,18 +315,10 @@ impl Fleet {
 
 /// The worker count a test scenario should use when it doesn't demand a
 /// specific width: the `PNOC_THREADS` environment variable when it parses
-/// to a positive integer, else `default`. See
-/// [`Fleet::with_suite_threads`] for why CI varies this.
+/// to a positive integer ([`pnoc_sim::sweep::env_threads`]), else
+/// `default`. See [`Fleet::with_suite_threads`] for why CI varies this.
 pub fn suite_threads(default: usize) -> usize {
-    suite_threads_from(std::env::var("PNOC_THREADS").ok().as_deref(), default)
-}
-
-/// Pure core of [`suite_threads`], split out so the parse-and-fallback
-/// policy is testable without mutating the process environment.
-fn suite_threads_from(var: Option<&str>, default: usize) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
+    pnoc_sim::sweep::env_threads().unwrap_or(default)
 }
 
 impl Drop for Fleet {
@@ -662,16 +654,6 @@ mod tests {
                 .wait();
             assert_eq!(hits.load(Ordering::Relaxed), 1);
         }
-    }
-
-    #[test]
-    fn suite_threads_parses_and_falls_back() {
-        assert_eq!(suite_threads_from(None, 4), 4);
-        assert_eq!(suite_threads_from(Some("1"), 4), 1);
-        assert_eq!(suite_threads_from(Some(" 32 "), 4), 32);
-        assert_eq!(suite_threads_from(Some("0"), 4), 4);
-        assert_eq!(suite_threads_from(Some("lots"), 4), 4);
-        assert_eq!(suite_threads_from(Some(""), 4), 4);
     }
 
     #[test]

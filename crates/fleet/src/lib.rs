@@ -26,8 +26,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The whole crate is held to clippy's pedantic bar, like pnoc-noc (ci.sh
-// denies warnings for this crate specifically). Opt-outs, all judgment
+// The whole crate is held to clippy's pedantic bar, like pnoc-noc (ci.sh's
+// workspace clippy pass denies warnings). Opt-outs, all judgment
 // calls rather than correctness: panic/error docs on internal APIs,
 // cast pedantry (narrowing is policed by the pnoc-verify lint set), and
 // module-name repetition in re-exports.

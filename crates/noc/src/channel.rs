@@ -89,9 +89,6 @@ pub struct Channel<A, F> {
     dist_of: Vec<usize>,
     /// Node id → ring segment.
     seg_of: Vec<usize>,
-    /// Whether a transmission removes the packet from its queue (`Forget`
-    /// and `Setaside` modes; `HoldHead` keeps it queued until the ACK).
-    dec_on_transmit: bool,
     /// Whether transmissions arm sender-side ACK timers (recovery on a
     /// handshake scheme).
     arm_timers: bool,
@@ -122,8 +119,6 @@ pub struct Channel<A, F> {
     /// Flow-control state (resolved at construction).
     flow: F,
 
-    /// Total queued packets across senders (cheap idle check).
-    queued_total: usize,
     /// Per-sender predicate bit-planes, indexed by downstream distance —
     /// refreshed after every queue mutation so phase loops scan packed
     /// words instead of probing every node.
@@ -193,7 +188,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             by_distance,
             dist_of,
             seg_of,
-            dec_on_transmit: !matches!(mode, SendMode::HoldHead),
             arm_timers: cfg.recovery.enabled && cfg.scheme.uses_handshake(),
             ring_owns_flits: matches!(mode, SendMode::Forget),
             arena: PacketArena::new(),
@@ -204,7 +198,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             releases: Calendar::new(cfg.router_latency as usize + 2),
             arbiter,
             flow,
-            queued_total: 0,
             planes: Planes::new(cfg.nodes - 1),
             suppress_token: false,
             admission: AdmissionCtl::from_policy(&cfg.admission),
@@ -236,20 +229,21 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             sends: 0,
             class,
         });
-        self.queued_total += 1;
         self.planes.refresh(self.dist_of[src], &self.senders[src]);
     }
 
     /// Whether every queue, slot, buffer and grant is empty (drain check).
+    /// Every queued, set-aside, pending or (forget mode) in-flight packet
+    /// owns an arena slot, so a dead arena means empty sender queues; the
+    /// ring is checked on its own because a stale handshake duplicate can
+    /// outlive its freed slot.
     pub fn is_drained(&self) -> bool {
-        self.queued_total == 0
-            && self.arena.live() == 0
+        self.arena.live() == 0
             && self.data.is_empty()
             && self.input_queue.is_empty()
             && self.draining == 0
             && self.flow.pending_acks() == 0
             && !self.planes.granted.any()
-            && self.senders.iter().all(OutQueue::is_idle)
     }
 
     /// Home input-buffer occupancy, including slots held by flits still in
@@ -265,7 +259,7 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             now,
             self.home,
             self.buffer_occupancy(),
-            self.queued_total,
+            self.senders.iter().map(OutQueue::backlog).sum(),
             self.senders.iter().map(OutQueue::setaside_len).sum(),
             self.flow.credits().unwrap_or(0),
             self.arbiter.outstanding_tokens(),
@@ -288,32 +282,24 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
     }
 
     /// Whether the channel's next cycles are idle until a packet arrives,
-    /// so the network may stop stepping it: no fault injector (it draws
-    /// the RNG every cycle); empty sender queues, ring, input buffer and
-    /// ejection pipeline; no handshake or ACK timer pending; no grant,
-    /// backlog or unresolved copy; no suppressed emission; a sweeping
-    /// global token; full admission buckets. Its idle cycles then have the
-    /// closed form [`Channel::catch_up`] applies.
+    /// so the network may stop stepping it: drained ([`Channel::is_drained`]),
+    /// plus no fault injector (it draws the RNG every cycle), no ejection
+    /// release or ACK timer pending, no suppressed emission, a sweeping
+    /// global token and full admission buckets. Its idle cycles then have
+    /// the closed form [`Channel::catch_up`] applies.
     #[inline]
     pub(crate) fn is_quiescent(&self) -> bool {
-        // A live payload is a queued, set-aside, pending or (forget mode)
-        // in-flight packet: the one load that rules out most busy channels.
-        self.arena.live() == 0
-            && self.input_queue.is_empty()
-            && self.draining == 0
-            && self.queued_total == 0
-            && self.data.is_empty()
+        // `is_drained` tests the arena first: the one load that rules out
+        // most busy channels.
+        self.is_drained()
             && self.releases.is_empty()
             && self.injector.is_none()
-            && !self.planes.granted.any()
-            && !self.planes.backlogged.any()
-            && !self.planes.unresolved.any()
             && !self.suppress_token
             && self.arbiter.can_sleep()
             && self
                 .flow
                 .handshake()
-                .is_none_or(|h| h.acks.is_empty() && h.ack_timers.is_empty())
+                .is_none_or(|h| h.ack_timers.is_empty())
             && self.admission.as_ref().is_none_or(AdmissionCtl::is_full)
     }
 
@@ -509,7 +495,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             &mut self.arena,
             &self.dist_of,
             &mut self.planes,
-            &mut self.queued_total,
             self.injector.as_mut(),
             &self.recovery,
             self.handshake_delay,
@@ -558,10 +543,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
                             EventKind::Send
                         },
                     );
-                    if self.dec_on_transmit {
-                        // The packet left the queue (Forget or Setaside).
-                        self.queued_total -= 1;
-                    }
                     if self.arm_timers {
                         // Arm the ACK timer for this attempt. The base
                         // timeout exceeds the handshake round trip, so on a
@@ -670,8 +651,8 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
         }
     }
 
-    /// Check the channel's internal invariants (buffer bounds, queue
-    /// accounting, reservation conservation, bit-plane exactness),
+    /// Check the channel's internal invariants (buffer bounds, payload
+    /// conservation, reservation conservation, bit-plane exactness),
     /// reporting the first violation instead of panicking. The runtime
     /// invariant auditor ([`crate::Network::attach_auditor`]) and the
     /// bounded model checker route through this so a violation becomes a
@@ -685,31 +666,25 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
                 self.buffer_cap
             ));
         }
-        let queued: usize = self.senders.iter().map(OutQueue::backlog).sum();
-        if queued != self.queued_total {
-            return Err(format!(
-                "queued_total drifted: counted {queued}, cached {}",
-                self.queued_total
-            ));
-        }
         // Packet-payload conservation: every live arena slot is owned by
         // exactly one queue entry, setaside entry, or (Forget mode)
         // in-flight ring slot. Handshake flits on the ring alias their
         // sender's retained copy and must not be counted twice.
+        let queued: usize = self.senders.iter().map(OutQueue::backlog).sum();
         let setaside_total: usize = self.senders.iter().map(OutQueue::setaside_len).sum();
         let ring_owned = if self.ring_owns_flits {
             self.data.occupied()
         } else {
             0
         };
-        let expected_live = self.queued_total + setaside_total + ring_owned;
+        let expected_live = queued + setaside_total + ring_owned;
         if self.arena.live() != expected_live {
             return Err(format!(
                 "arena leak: {} live payloads, {} owners \
                  ({} queued + {} setaside + {} ring-owned)",
                 self.arena.live(),
                 expected_live,
-                self.queued_total,
+                queued,
                 setaside_total,
                 ring_owned
             ));
@@ -735,12 +710,6 @@ impl<A: Arbiter, F: Flow> Channel<A, F> {
             let checks = [
                 ("sendable", self.planes.sendable.get(d), q.sendable() > 0),
                 ("granted", self.planes.granted.get(d), q.granted() > 0),
-                ("backlogged", self.planes.backlogged.get(d), q.backlog() > 0),
-                (
-                    "unresolved",
-                    self.planes.unresolved.get(d),
-                    q.unresolved_len() > 0,
-                ),
             ];
             for (plane, got, want) in checks {
                 if got != want {
@@ -1365,7 +1334,7 @@ mod tests {
                     uncommitted: crate::convert::narrow_u32(cfg.input_buffer - 1),
                     leaked: 0,
                 };
-                let handshake = HandshakeFlow::new(cfg.ring_segments, false);
+                let handshake = HandshakeFlow::new(cfg.ring_segments);
                 let mut m = NetworkMetrics::new();
                 let mut d = Vec::new();
                 let mut ch = Channel::with_pipeline(0, &cfg, held.clone(), credits);
@@ -1410,6 +1379,63 @@ mod tests {
             assert_eq!(view.input_queue_ids, fresh.input_queue_ids);
             assert_eq!(view.pending_acks, fresh.pending_acks);
         });
+    }
+
+    #[test]
+    fn occupancy_sample_counts_queued_packets_in_every_send_mode() {
+        // HoldHead, Setaside and Forget: the sampler's `queued` column is
+        // the packets still in the sender queues. A pending held head is
+        // queued; a set-aside copy or a forgotten in-flight flit is not.
+        for scheme in [
+            Scheme::Dhs { setaside: 0 },
+            Scheme::Dhs { setaside: 2 },
+            Scheme::TokenSlot,
+        ] {
+            with_channel!(0, &cfg(scheme), |ch| {
+                let mut m = NetworkMetrics::new();
+                let mut d = Vec::new();
+                for id in 0..15 {
+                    let src = match id {
+                        0..4 => 4,
+                        4..9 => 9,
+                        _ => 12,
+                    };
+                    ch.enqueue(pkt(id, src, 0, 0));
+                }
+                // Cycles with a copy of the kind this mode keeps: a pending
+                // held head, a set-aside copy or a forgotten in-flight flit.
+                let mut unresolved_cycles = 0;
+                for now in 0..40 {
+                    ch.step(now, &mut m, &mut d);
+                    let sample = ch.occupancy_sample(now);
+                    let queued: usize = ch.senders.iter().map(OutQueue::backlog).sum();
+                    let setaside: usize = ch.senders.iter().map(OutQueue::setaside_len).sum();
+                    let ring_owned = if ch.ring_owns_flits {
+                        ch.data.occupied()
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        usize::try_from(sample.queued).unwrap(),
+                        queued,
+                        "{scheme:?} cycle {now}"
+                    );
+                    assert_eq!(usize::try_from(sample.setaside).unwrap(), setaside);
+                    // Every live payload is queued, set aside or ring-owned.
+                    assert_eq!(ch.arena.live(), queued + setaside + ring_owned);
+                    let unresolved = match scheme {
+                        Scheme::Dhs { setaside: 0 } => {
+                            ch.senders.iter().any(OutQueue::head_is_pending)
+                        }
+                        Scheme::Dhs { .. } => setaside > 0,
+                        _ => ring_owned > 0,
+                    };
+                    unresolved_cycles += usize::from(unresolved);
+                }
+                assert!(unresolved_cycles > 0, "{scheme:?}: nothing was sent");
+                assert_eq!(d.len(), 15, "{scheme:?} delivered everything");
+            });
+        }
     }
 
     #[test]

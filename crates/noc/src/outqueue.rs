@@ -347,18 +347,6 @@ impl<T: QueueItem> OutQueue<T> {
         self.head_pending
     }
 
-    /// Number of transmitted copies still awaiting a handshake verdict: the
-    /// pending head (`HoldHead`) or the occupied setaside slots. Forget mode
-    /// tracks nothing. Mirrored into the `unresolved` bit-plane.
-    #[inline]
-    pub fn unresolved_len(&self) -> usize {
-        match self.mode {
-            SendMode::HoldHead => usize::from(self.head_pending),
-            SendMode::Setaside(_) => self.setaside.len(),
-            SendMode::Forget => 0,
-        }
-    }
-
     /// Ids of packets transmitted but not yet resolved by a handshake: the
     /// pending head (`HoldHead`) or the setaside contents (`Setaside`). Forget
     /// mode tracks nothing. Used by the ACK-pairing invariant.

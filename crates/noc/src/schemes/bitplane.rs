@@ -2,9 +2,9 @@
 //!
 //! The per-cycle kernel is data-oriented: instead of probing each
 //! [`crate::outqueue::OutQueue`] for "can this sender transmit?", "does this
-//! sender hold a grant?", and so on, the channel mirrors every per-node
-//! predicate into a packed `u64` [`BitPlane`] indexed by downstream
-//! distance. Phase loops then become word-at-a-time scans —
+//! sender hold a grant?", the channel mirrors the two per-node predicates
+//! its phase loops scan into packed `u64` [`BitPlane`]s indexed by
+//! downstream distance. Phase loops then become word-at-a-time scans —
 //! `trailing_zeros` iteration over set bits — so a 64-node channel examines
 //! one machine word where the scalar loop examined 63 queues.
 //!
@@ -16,14 +16,13 @@
 //! * `granted` — `senders[n].granted() > 0`: the sender holds at least one
 //!   transmission grant. The transmit phase serves set bits in ascending
 //!   distance order (nearest-first, the paper's service order), replacing a
-//!   grant list that had to be re-sorted every cycle.
-//! * `backlogged` — `senders[n].backlog() > 0`: the sender has waiting
-//!   packets, whether or not its send mode lets it offer them. Drain checks
-//!   reduce to `!backlogged.any()`.
-//! * `unresolved` — the sender has transmitted copies awaiting an
-//!   ACK/NACK/timeout verdict (a pending held head or occupied setaside
-//!   slots). This is the retransmit-pending predicate: ACK processing and
-//!   timeout sweeps only ever touch set bits.
+//!   grant list that had to be re-sorted every cycle. Drain and sleep
+//!   checks read `!granted.any()` too.
+//!
+//! Backlog and copies awaiting a verdict need no plane: every queued,
+//! set-aside or pending packet owns a [`crate::packet::PacketArena`] slot,
+//! so the drain and sleep checks test arena liveness, and ACK processing
+//! and timeout sweeps visit only the senders their events name.
 //!
 //! Exactness matters: the arbiter still calls
 //! [`crate::outqueue::OutQueue::eligible`] on every candidate the
@@ -250,10 +249,6 @@ pub struct Planes {
     pub sendable: BitPlane,
     /// `senders[n].granted() > 0` — holds at least one grant.
     pub granted: BitPlane,
-    /// `senders[n].backlog() > 0` — any waiting packets at all.
-    pub backlogged: BitPlane,
-    /// Pending held head or occupied setaside — copies awaiting a verdict.
-    pub unresolved: BitPlane,
 }
 
 impl Planes {
@@ -262,8 +257,6 @@ impl Planes {
         Self {
             sendable: BitPlane::new(len),
             granted: BitPlane::new(len),
-            backlogged: BitPlane::new(len),
-            unresolved: BitPlane::new(len),
         }
     }
 
@@ -278,8 +271,6 @@ impl Planes {
     ) {
         self.sendable.set(d, q.sendable() > 0);
         self.granted.set(d, q.granted() > 0);
-        self.backlogged.set(d, q.backlog() > 0);
-        self.unresolved.set(d, q.unresolved_len() > 0);
     }
 }
 

@@ -185,7 +185,6 @@ pub trait Flow {
         _arena: &mut PacketArena,
         _dist_of: &[usize],
         _planes: &mut Planes,
-        _queued_total: &mut usize,
         _injector: Option<&mut ChannelInjector>,
         _recovery: &RecoveryConfig,
         _handshake_delay: Cycle,
@@ -413,32 +412,25 @@ pub struct HandshakeFlow {
     /// recovery is enabled so a retransmission after a *lost ACK* is
     /// discarded (and re-ACKed) instead of delivered twice.
     pub accepted_ids: SortedIdSet,
-    /// Whether the scheme uses setaside buffers (`setaside > 0`): sent
-    /// packets leave the queue at transmission and return on NACK, instead
-    /// of blocking the head until their handshake resolves.
-    pub setaside: bool,
 }
 
 impl HandshakeFlow {
     /// Handshake state for a ring of `segments` segments (the calendar
     /// horizon covers the fixed `segments + 1` handshake delay).
-    pub fn new(segments: usize, setaside: bool) -> Self {
+    pub fn new(segments: usize) -> Self {
         Self {
             acks: Calendar::new(segments + 2),
             ack_timers: BinaryHeap::new(),
             accepted_ids: SortedIdSet::new(),
-            setaside,
         }
     }
 
     /// Deliver this cycle's handshakes to their senders, then fire expired
-    /// ACK timers. `queued_total` is the channel's cached cross-sender
-    /// backlog, adjusted here exactly as the send-mode bookkeeping demands;
-    /// `planes` are the channel's per-node predicate planes, refreshed
-    /// after every queue mutation (ACKs unblock `HoldHead` heads, NACKs and
-    /// timeouts re-queue setaside packets). An ACK or abandon retires the
-    /// sender's retained copy — the last owner of the arena payload — so
-    /// both release the handle here.
+    /// ACK timers. `planes` are the channel's per-node predicate planes,
+    /// refreshed after every queue mutation (ACKs unblock `HoldHead` heads,
+    /// NACKs and timeouts re-queue setaside packets). An ACK or abandon
+    /// retires the sender's retained copy — the last owner of the arena
+    /// payload — so both release the handle here.
     #[allow(clippy::too_many_arguments)]
     pub fn resolve_acks(
         &mut self,
@@ -448,7 +440,6 @@ impl HandshakeFlow {
         arena: &mut PacketArena,
         dist_of: &[usize],
         planes: &mut Planes,
-        queued_total: &mut usize,
         mut injector: Option<&mut ChannelInjector>,
         recovery: &RecoveryConfig,
         handshake_delay: Cycle,
@@ -461,7 +452,6 @@ impl HandshakeFlow {
             self.acks.fast_forward(now);
             return;
         }
-        let setaside = self.setaside;
         for ev in self.acks.drain(now) {
             // Handshake-channel fault: the pulse never reaches the sender.
             // The sender learns nothing; with recovery enabled its ACK timer
@@ -478,12 +468,6 @@ impl HandshakeFlow {
                 if let Some(released) = q.ack(ev.id) {
                     arena.free(released.handle);
                     m.trace(now, home, ev.sender, ev.id, EventKind::Ack);
-                    // HoldHead keeps the packet queued until the ACK:
-                    // account for its departure now. Setaside removed it
-                    // from the queue at transmission time.
-                    if !setaside {
-                        *queued_total -= 1;
-                    }
                 } else {
                     // A re-ACK for a suppressed duplicate can land after the
                     // first ACK already released the packet; only recovery
@@ -494,10 +478,6 @@ impl HandshakeFlow {
             } else if q.nack(ev.id) {
                 m.retransmissions += 1;
                 m.trace(now, home, ev.sender, ev.id, EventKind::Nack);
-                // Setaside NACK pushes the packet back into the queue.
-                if setaside {
-                    *queued_total += 1;
-                }
             } else {
                 // The packet already timed out and retransmitted; this NACK
                 // answers a transmission the sender no longer tracks. Only
@@ -519,20 +499,11 @@ impl HandshakeFlow {
                 TimeoutAction::Retry => {
                     m.timeout_retransmissions += 1;
                     m.trace(now, home, sender, id, EventKind::TimeoutRetransmit);
-                    // Setaside: the packet moved back from setaside into the
-                    // queue, mirroring the NACK bookkeeping above.
-                    if setaside {
-                        *queued_total += 1;
-                    }
                 }
                 TimeoutAction::Abandon(dropped) => {
                     arena.free(dropped.handle);
                     m.abandoned += 1;
                     m.trace(now, home, sender, id, EventKind::Abandon);
-                    // A HoldHead abandon pops the pending head off the queue.
-                    if !setaside {
-                        *queued_total -= 1;
-                    }
                 }
                 TimeoutAction::Stale => {}
             }
@@ -617,7 +588,6 @@ impl Flow for HandshakeFlow {
         arena: &mut PacketArena,
         dist_of: &[usize],
         planes: &mut Planes,
-        queued_total: &mut usize,
         injector: Option<&mut ChannelInjector>,
         recovery: &RecoveryConfig,
         handshake_delay: Cycle,
@@ -631,7 +601,6 @@ impl Flow for HandshakeFlow {
             arena,
             dist_of,
             planes,
-            queued_total,
             injector,
             recovery,
             handshake_delay,

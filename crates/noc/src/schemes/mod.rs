@@ -70,9 +70,9 @@ macro_rules! with_scheme {
                     $crate::schemes::CreditFlow::new($crate::convert::narrow_u32(cfg.input_buffer));
                 $body
             }
-            $crate::Scheme::Ghs { setaside } => {
+            $crate::Scheme::Ghs { .. } => {
                 let $arbiter = $crate::schemes::GlobalArbiter::new();
-                let $flow = $crate::schemes::HandshakeFlow::new(cfg.ring_segments, setaside > 0);
+                let $flow = $crate::schemes::HandshakeFlow::new(cfg.ring_segments);
                 $body
             }
             $crate::Scheme::TokenSlot => {
@@ -80,9 +80,9 @@ macro_rules! with_scheme {
                 let $flow = $crate::schemes::SlotFlow::default();
                 $body
             }
-            $crate::Scheme::Dhs { setaside } => {
+            $crate::Scheme::Dhs { .. } => {
                 let $arbiter = $crate::schemes::DistributedArbiter::new();
-                let $flow = $crate::schemes::HandshakeFlow::new(cfg.ring_segments, setaside > 0);
+                let $flow = $crate::schemes::HandshakeFlow::new(cfg.ring_segments);
                 $body
             }
             $crate::Scheme::DhsCirculation => {
@@ -227,17 +227,16 @@ mod tests {
             assert_eq!(pairing_names(&cfg), (arbiter, flow), "{scheme:?}");
             // The bound pair is constructed for `cfg`: no tokens out yet,
             // the token channel's token starts with one credit per buffer
-            // slot, and only the handshake schemes carry handshake state,
-            // with setaside buffers exactly when the scheme has them.
+            // slot, and only the handshake schemes carry handshake state.
             crate::with_scheme!(&cfg, |arbiter, flow| {
                 assert_eq!(arbiter.outstanding_tokens(), 0, "{scheme:?}");
                 let credits = (scheme == Scheme::TokenChannel).then_some(4);
                 assert_eq!(flow.credits(), credits, "{scheme:?}");
-                let setaside = match scheme {
-                    Scheme::Ghs { setaside } | Scheme::Dhs { setaside } => Some(setaside > 0),
-                    _ => None,
-                };
-                assert_eq!(flow.handshake().map(|h| h.setaside), setaside, "{scheme:?}");
+                assert_eq!(
+                    flow.handshake().is_some(),
+                    scheme.uses_handshake(),
+                    "{scheme:?}"
+                );
             });
         }
     }
@@ -263,7 +262,7 @@ mod tests {
         // of them (a token lives segments = nodes/step = 4 cycles).
         let mut rig = Rig::new(SendMode::Forget);
         let mut d = DistributedArbiter::new();
-        let mut f = HandshakeFlow::new(4, false);
+        let mut f = HandshakeFlow::new(4);
         for now in 0..32u64 {
             let mut cx = rig.cx(now);
             d.step(&mut f, &mut cx, &mut m);
@@ -310,7 +309,7 @@ mod tests {
     #[test]
     fn global_token_without_credits_never_blocks() {
         // GHS: the token carries nothing, so has_credit is always true.
-        let f = HandshakeFlow::new(4, false);
+        let f = HandshakeFlow::new(4);
         assert!(f.has_credit());
         let f = CreditFlow::new(0);
         assert!(!f.has_credit(), "an empty token channel must block");
@@ -328,8 +327,8 @@ mod tests {
         rig_scan.planes.sendable.set(14, true);
         let mut a_idle = DistributedArbiter::new();
         let mut a_scan = DistributedArbiter::new();
-        let mut f_idle = HandshakeFlow::new(4, false);
-        let mut f_scan = HandshakeFlow::new(4, false);
+        let mut f_idle = HandshakeFlow::new(4);
+        let mut f_scan = HandshakeFlow::new(4);
         let mut m = NetworkMetrics::new();
         for now in 0..40u64 {
             let mut cx = rig_idle.cx(now);
@@ -364,7 +363,7 @@ mod tests {
                     let mut rig = Rig::new(SendMode::HoldHead);
                     let (mut slot, mut dhs) = (base.clone(), base.clone());
                     let mut slot_flow = SlotFlow::default();
-                    let mut dhs_flow = HandshakeFlow::new(4, true);
+                    let mut dhs_flow = HandshakeFlow::new(4);
                     for now in 0..k {
                         let mut cx = rig.cx(now);
                         cx.buffer_cap = cap;
@@ -376,7 +375,7 @@ mod tests {
                     jumped.fast_forward(k, &mut SlotFlow::default(), 16, 4, cap);
                     assert_eq!(jumped.tokens, slot.tokens, "slot {start:b} cap {cap} k {k}");
                     let mut jumped = base.clone();
-                    jumped.fast_forward(k, &mut HandshakeFlow::new(4, true), 16, 4, cap);
+                    jumped.fast_forward(k, &mut HandshakeFlow::new(4), 16, 4, cap);
                     assert_eq!(jumped.tokens, dhs.tokens, "DHS {start:b} k {k}");
                 }
             }
@@ -425,8 +424,7 @@ mod tests {
             (0..2).map(|_| OutQueue::new(SendMode::HoldHead)).collect();
         let dist_of = [usize::MAX, 0]; // node 1 sits at distance 0
         let mut planes = Planes::new(1);
-        let mut queued = 1usize;
-        let mut h = HandshakeFlow::new(4, false);
+        let mut h = HandshakeFlow::new(4);
         let recovery = pnoc_faults::RecoveryConfig::for_ring(4);
         assert!(recovery.enabled);
         let mut m = NetworkMetrics::new();
@@ -452,7 +450,6 @@ mod tests {
                 &mut arena,
                 &dist_of,
                 &mut planes,
-                &mut queued,
                 None,
                 &recovery,
                 5,
@@ -464,12 +461,16 @@ mod tests {
         }
         assert_eq!(m.timeout_retransmissions, 1, "timer fired exactly once");
         assert_eq!(m.retransmissions, 0, "timeout path, not NACK path");
-        assert_eq!(queued, 1, "HoldHead: the packet is back awaiting resend");
+        assert_eq!(
+            senders[1].backlog(),
+            1,
+            "HoldHead: the packet is back awaiting resend"
+        );
     }
 
     #[test]
     fn duplicate_ids_are_tracked_in_order() {
-        let mut h = HandshakeFlow::new(4, true);
+        let mut h = HandshakeFlow::new(4);
         for id in [9u64, 3, 12] {
             h.accepted_ids.insert(id);
         }

@@ -164,12 +164,6 @@ proptest! {
             for (i, q) in senders.iter().enumerate() {
                 prop_assert_eq!(planes.sendable.get(i), q.sendable() > 0, "sendable[{}]", i);
                 prop_assert_eq!(planes.granted.get(i), q.granted() > 0, "granted[{}]", i);
-                prop_assert_eq!(planes.backlogged.get(i), q.backlog() > 0, "backlogged[{}]", i);
-                prop_assert_eq!(
-                    planes.unresolved.get(i),
-                    q.unresolved_len() > 0,
-                    "unresolved[{}]", i
-                );
             }
         }
     }

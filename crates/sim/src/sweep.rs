@@ -74,6 +74,22 @@ fn cgroup_cpu_quota() -> Option<usize> {
     parse_cgroup_v1_cpu_quota(&quota, &period)
 }
 
+/// The `PNOC_THREADS` environment variable as a worker count, when it
+/// parses to a positive integer. [`default_threads`] and the fleet's test
+/// sizing (`pnoc_fleet::suite_threads`) both read the variable through
+/// this.
+pub fn env_threads() -> Option<usize> {
+    parse_threads(std::env::var("PNOC_THREADS").ok().as_deref())
+}
+
+/// Pure core of [`env_threads`], split out so the parse rule (trimmed,
+/// a positive integer) is testable without mutating the process
+/// environment.
+fn parse_threads(var: Option<&str>) -> Option<usize> {
+    var.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+}
+
 /// Number of worker threads a sweep runs on.
 ///
 /// Resolution order (first match wins):
@@ -88,12 +104,8 @@ pub fn default_threads() -> usize {
     if let Some(n) = thread_override() {
         return n.max(1);
     }
-    if let Ok(v) = std::env::var("PNOC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    if let Some(n) = env_threads() {
+        return n;
     }
     let hw = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -117,6 +129,17 @@ mod tests {
         assert_eq!(default_threads(), 3);
         set_thread_override(0);
         assert_eq!(thread_override(), None);
+    }
+
+    #[test]
+    fn pnoc_threads_parses_and_falls_back() {
+        let threads = |var| parse_threads(var).unwrap_or(4);
+        assert_eq!(threads(None), 4);
+        assert_eq!(threads(Some("1")), 1);
+        assert_eq!(threads(Some(" 32 ")), 32);
+        assert_eq!(threads(Some("0")), 4);
+        assert_eq!(threads(Some("lots")), 4);
+        assert_eq!(threads(Some("")), 4);
     }
 
     #[test]
